@@ -14,9 +14,7 @@ Exit codes are a stable contract:
 
 Artifacts (report.json, CSV tables, SVG plots) are written atomically:
 the bytes land in a temp file in the target directory and are renamed
-into place, so readers never observe a half-written file.  Setting
-AIRYLAB_WORKERS to an integer > 1 fans independent Scan experiments out
-across that many threads; unset means sequential.
+into place, so readers never observe a half-written file.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
@@ -77,8 +74,6 @@ EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
-
-WORKERS_ENV = "AIRYLAB_WORKERS"
 
 
 class ConfigError(AirylabError):
@@ -620,32 +615,13 @@ class RunConfig:
 # ----------------------------------------------------------------------
 # execution
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None or raw == "":
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError(
-            f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
-    return n
-
-
 def _run_experiments(cfg: RunConfig) -> list:
-    def run_one(spec):
+    reports = []
+    for spec in cfg.experiments:
         _schema, _tols, runner = _EXPERIMENTS[spec["name"]]
-        return runner(cfg.grid, cfg.phys, cfg.state_spec,
-                      spec["params"], spec["tols"])
-
-    workers = _worker_count()
-    if workers == 1 or len(cfg.experiments) == 1:
-        return [run_one(s) for s in cfg.experiments]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_one, cfg.experiments))
+        reports.append(runner(cfg.grid, cfg.phys, cfg.state_spec,
+                              spec["params"], spec["tols"]))
+    return reports
 
 
 def _execute(cfg: RunConfig, out_dir: str, echo, seed) -> tuple[bool, list]:
@@ -727,7 +703,6 @@ def run_config(path: str, out_dir: str = ".",
         return EXIT_CONFIG, []
     try:
         cfg = RunConfig.from_dict(data)
-        _worker_count()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG, []

@@ -7,6 +7,7 @@ cross-oracle over a dense sample.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -44,6 +45,75 @@ AI_ORACLE = [
     (150.0, 0.0),
 ]
 
+# Seeded sweep over the whole domain, (z, Ai(z)) with Ai from mpmath
+# mp.airyai at mp.dps = 40 at the exact double z, kept as 40-digit strings.
+# Draws from default_rng(20261018): 24 points log-uniform on [-1e4, -8],
+# 10 uniform on [-8, 6], 12 uniform on [6, 100]; fixed points: both ends
+# of the domain, both sides of each seam, the worst case just above the
+# positive seam (6.0001), and the underflow edge (Ai(107.5) < half the
+# smallest subnormal).
+AI_SWEEP = [
+    (-10000.0, "2.705738360464257920896969739521499838281e-2"),
+    (-8029.240248229381, "3.045126147845474242334859170751139137209e-2"),
+    (-4090.0881983149056, "6.988331992792344802984078659341127505127e-2"),
+    (-3915.0518172976745, "-5.705094546353538300016278528108262504831e-2"),
+    (-3659.440629517102, "4.637283820751740183906084759996291718895e-2"),
+    (-2735.501755130901, "-3.113355081024011846667993818748214550443e-2"),
+    (-2087.7486009121167, "-6.90864673781057390564991375642813251012e-2"),
+    (-1938.9551617550874, "6.21496048844232032053321474901063620471e-2"),
+    (-1846.9041449711503, "-8.590753299878628237723062630374696600467e-2"),
+    (-1501.3910341458954, "-9.06049882009557506495315005255146474641e-2"),
+    (-1416.2383875965006, "6.91764867055407543759721071621460229458e-2"),
+    (-925.990519462099, "-5.948157148782551739155931171202644941864e-2"),
+    (-125.55036805554552, "1.080408544394808745476636903439048698243e-1"),
+    (-46.251520850791266, "4.242025000070901161427529759685969570405e-4"),
+    (-27.68585027261714, "-1.205797766143713178079111645212783118122e-1"),
+    (-24.286452962097346, "-2.271497055442176693702058550297556408485e-1"),
+    (-22.162354885183685, "2.44638275176611877279476905115191924474e-1"),
+    (-21.049682454219862, "1.899113967672403016254667879950096625354e-1"),
+    (-18.699489369506782, "-2.603069947475023549080664215732093899196e-1"),
+    (-18.53488982634074, "-1.478338468872947962133097857192582520347e-1"),
+    (-13.087130556492712, "2.377868263605318379801600195026158042245e-1"),
+    (-10.198970264831447, "-1.527928856760192128717799558189841921509e-1"),
+    (-9.706049139665692, "2.772463192162256763459162726163213234125e-1"),
+    (-9.131825179274339, "1.048492831397106975245313951385162099438e-1"),
+    (-8.13377141175203, "-1.711187554826841469690163350070649982752e-1"),
+    (-8.000000000000002, "-5.270505035638786451215392007010377052664e-2"),
+    (-8.0, "-5.270505035638620262208267579388862081638e-2"),
+    (-7.689538207223753, "2.213297106475233885654203417716327949896e-1"),
+    (-7.257041915121586, "3.257964213346444666178587416255298517273e-1"),
+    (-4.521558448356135, "3.031257773245532756899576121122745388719e-1"),
+    (-2.260104199888392, "5.456926008876971050068974049787857605106e-2"),
+    (-1.1830795993127756, "5.27915326617679566384933210049866894828e-1"),
+    (-1.1443937007089646, "5.311815642509151627880327722651346600738e-1"),
+    (-0.2894544155658014, "4.283593163693379318271286179369253976993e-1"),
+    (1.8918629768523196, "4.108875560733050204148907520768188157447e-2"),
+    (3.7710901555932654, "1.514781092780007222713621039440699695647e-3"),
+    (3.8927367400672495, "1.185030363377887072979972461328394605086e-3"),
+    (6.0, "9.947694360252889570238847668828779047343e-6"),
+    (6.000000000000001, "9.947694360252867574322295473432237889481e-6"),
+    (6.0001, "9.945218138620916687073840327641153765171e-6"),
+    (7.0, "7.492128863997167080771040272103909935141e-7"),
+    (8.0, "4.692207616099231625649081703488224455253e-8"),
+    (10.165610248804782, "6.503298425477846137780439790226713789276e-11"),
+    (11.6337057888365, "4.944988978983497287710107074187612606757e-13"),
+    (16.248430366901715, "1.527118270318356737110741563980490394328e-20"),
+    (39.23420759407361, "7.92975565691077533650249394987181262949e-73"),
+    (53.98024870414709, "1.548332045619942335457491777678613206428e-116"),
+    (62.82113556816394, "6.893981235283007640524521185733976680662e-146"),
+    (63.723700163343665, "5.235702801985720442345142039081428883839e-149"),
+    (65.96931197756545, "7.275029072679329856673482585882142614444e-157"),
+    (67.7815856288878, "2.645869104391828884513362354964659139993e-163"),
+    (77.62757058376391, "8.998759788912216086946739359406141582618e-200"),
+    (87.21252072497734, "1.431157652543783945326532261996036329822e-237"),
+    (92.5640596661014, "1.30305758621123526605004293274209486037e-259"),
+    (104.9, "7.524547410896200043216342234403224664086e-313"),
+    (105.5, "1.596629470513505700996794891607578941879e-315"),
+    (106.5, "5.380829454923779869387934537607878490247e-320"),
+    (107.5, "1.727675284522081795479929646544108250872e-324"),
+    (10000.0, "6.248745756958942219035094055329848242687e-289532"),
+]
+
 FIRST_ZERO = -2.338107410459767038489197
 
 
@@ -79,9 +149,39 @@ class TestReferenceTable:
         assert abs(airy_ai(FIRST_ZERO).value) < 1e-16
 
 
+class TestSweep:
+    @staticmethod
+    def _abs_error(value: float, expected: str) -> Decimal:
+        # exact decimal arithmetic: neither the double rounding of the
+        # reference nor float subtraction may hide a bound violation
+        with localcontext() as ctx:
+            ctx.prec = 60
+            return abs(Decimal(value) - Decimal(expected))
+
+    @pytest.mark.parametrize("z,expected", AI_SWEEP,
+                             ids=[f"z={z!r}" for z, _ in AI_SWEEP])
+    def test_error_estimate_honest_and_tight(self, z, expected):
+        res = airy_ai(z)
+        assert self._abs_error(res.value, expected) <= Decimal(res.est_error)
+        assert res.est_error <= max(1e-8 * abs(float(expected)), 1e-11)
+
+    def test_positive_tail_relative_precision(self):
+        # from z = 8 on the asymptotic sum converges far below double
+        # precision; only subnormal results lose relative digits
+        for z, expected in AI_SWEEP:
+            ref = float(expected)
+            if z >= 8.0 and ref >= np.finfo(float).tiny:
+                err = self._abs_error(airy_ai(z).value, expected)
+                assert err <= Decimal(3e-15) * Decimal(expected)
+
+
 class TestVectorized:
     def test_matches_scalar(self):
-        z = np.array([-30.0, -2.5, 0.0, 1.25, 40.0])
+        # dense across both seams, so every regime and both asymptotic signs
+        # run in one array call next to elements that stop at other terms
+        z = np.concatenate([[-30.0, -2.5, 0.0, 1.25, 40.0, -1.0e4, 120.0],
+                            np.linspace(-12.0, 10.0, 2201),
+                            [z for z, _ in AI_SWEEP]])
         vals = ai_values(z)
         for zi, vi in zip(z, vals):
             assert vi == airy_ai(float(zi)).value
@@ -115,6 +215,8 @@ class TestDomain:
             airy_ai(float("nan"))
         with pytest.raises(AirylabError):
             ai_values(np.array([0.0, -2.0e4]))
+        with pytest.raises(AirylabError):
+            ai_values(np.array([0.0, float("nan")]))
 
 
 class TestDifferentialEquation:

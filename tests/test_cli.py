@@ -147,32 +147,6 @@ class TestCommands:
         # free fall toward -x at a = -1/eps
         assert rows[2, 1] < rows[0, 1]
 
-    def test_scan_parallel_matches_sequential(self, tmp_path, monkeypatch):
-        data = {
-            "command": "Scan",
-            "grid": {"n": 1024, "x_min": -32.0, "x_max": 32.0},
-            "experiments": [
-                {"name": "commutator_table"},
-                {"name": "overlap_scan",
-                 "parameters": {"eps_list": [0.5, 1.0, 2.0]}},
-            ],
-        }
-        cfg = write_config(tmp_path, data)
-        monkeypatch.delenv("AIRYLAB_WORKERS", raising=False)
-        code_a, arts_a = run_config(cfg, str(tmp_path / "seq"))
-        monkeypatch.setenv("AIRYLAB_WORKERS", "2")
-        code_b, arts_b = run_config(cfg, str(tmp_path / "par"))
-        assert code_a == code_b == EXIT_OK
-        seq = json.load(open(arts_a[0]))
-        par = json.load(open(arts_b[0]))
-        assert seq["reports"] == par["reports"]
-
-    def test_bad_worker_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("AIRYLAB_WORKERS", "many")
-        code, _ = run_config(write_config(tmp_path, BASE_VERIFY),
-                             str(tmp_path / "out"))
-        assert code == EXIT_CONFIG
-
     def test_seed_recorded(self, tmp_path):
         cfg = write_config(tmp_path, BASE_VERIFY)
         out = tmp_path / "out"
