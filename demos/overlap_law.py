@@ -5,7 +5,7 @@ States with different dispersion labels are never orthogonal: the
 overlap magnitude decays only algebraically, |<eps|eps'>| proportional
 to |eps - eps'|^(-1/3), with an Ai(0) prefactor and no dependence on
 the translation label.  The demo evaluates the overlaps with the
-damped cubic-phase quadrature, fits the exponent on a log-log grid,
+steepest-descent cubic-phase quadrature, fits the exponent on a log-log grid,
 and compares the measured prefactor with (2 hbar m^2)^(1/3) Ai(0) /
 (hbar m).
 

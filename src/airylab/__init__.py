@@ -2,7 +2,7 @@
 
 Subpackages by concern: `core` holds grids, representations, and
 windowed metrics; `airy` an independent Airy evaluator; `oscillatory`
-regularized cubic-phase quadrature; `states` the state constructors;
+steepest-descent cubic-phase quadrature; `states` the state constructors;
 `operators` the generator and displacement algebra; `experiments` the
 verification battery; `cli` the `airy-lab` entry point.
 """

@@ -222,14 +222,22 @@ def _check_keys(mapping, where: str, required: tuple, optional: tuple) -> None:
 
 
 def _num(v, where: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {v!r}")
+    # json.loads accepts NaN, Infinity and integers beyond any double
+    if isinstance(v, bool) or not isinstance(v, (int, float)) \
+            or not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be a finite number, got {v!r}")
     return float(v)
 
 
 def _intval(v, where: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{where} must be an integer, got {v!r}")
+    return v
+
+
+def _count(v, where: str) -> int:
+    if _intval(v, where) < 1:
+        raise ConfigError(f"{where} must be at least 1, got {v!r}")
     return v
 
 
@@ -260,7 +268,7 @@ def _parse_window(v, where: str) -> Window:
             return Window.rect(frac)
         if kind == "tukey":
             return Window.tukey(frac)
-    except AirylabError as exc:
+    except (AirylabError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(f"{where}.kind must be 'rect' or 'tukey', got {kind!r}")
 
@@ -290,6 +298,7 @@ def _parse_probe(v, where: str) -> GaussianParams:
 _VALIDATORS = {
     "num": _num,
     "int": _intval,
+    "count": _count,
     "bool": _boolval,
     "numlist": _numlist,
     "window": _parse_window,
@@ -467,7 +476,7 @@ _EXPERIMENTS = {
         {"exponent_err": "tol_exponent", "label_dependence": "tol_label_dep"},
         _run_overlap),
     "basis_orthonormality": (
-        {"eps": ("num", True), "t": ("num", True), "n_states": ("int", False),
+        {"eps": ("num", True), "t": ("num", True), "n_states": ("count", False),
          "window_fraction": ("num", False), "probe": ("probe", False),
          "sum_taper_frac": ("num", False)},
         {"diag_flatness": "tol_diag",
@@ -562,7 +571,7 @@ class RunConfig:
                              _num(data["grid"]["x_min"], "config.grid.x_min"),
                              _num(data["grid"]["x_max"], "config.grid.x_max"),
                              phys)
-        except AirylabError as exc:
+        except (AirylabError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         state_spec = None
         if "state" in data:

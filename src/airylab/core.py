@@ -127,6 +127,16 @@ def make_grid(n_points: int, x_min: float, x_max: float,
                 hbar=float(hbar))
 
 
+def _grid_phys(grid: Grid, phys: PhysParams | None) -> PhysParams:
+    """The constants to use on grid: PhysParams(hbar=grid.hbar) when phys is
+    None; a phys whose hbar differs from the grid's is rejected."""
+    if phys is None:
+        return PhysParams(hbar=grid.hbar)
+    if phys.hbar != grid.hbar:
+        raise GridError("grid was built with a different hbar than phys")
+    return phys
+
+
 @dataclass(frozen=True)
 class WaveField:
     """Complex amplitudes on a Grid in a declared representation, with a timestamp."""

@@ -31,6 +31,7 @@ from .core import (
     WaveField,
     Window,
     WindowEscapeError,
+    _grid_phys,
     inner_product,
     to_rep,
     window_weights,
@@ -184,7 +185,7 @@ def eigenrelation_residual(
     (the state itself keeps c.xi); probing a wrong eigenvalue is the
     negative control and must fail the tolerance.
     """
-    phys = phys if phys is not None else PhysParams()
+    phys = _grid_phys(grid, phys)
     w = _default_window(w)
     probe = c.xi if xi_probe is None else float(xi_probe)
     band_r = _plan_band(c, [c.t], grid, phys, band) \
@@ -224,7 +225,7 @@ def acceleration_fit(
     offsets from c.t; the tau range must let the peak travel at least
     20 dx so the quadratic term is measured, not extrapolated.
     """
-    phys = phys if phys is not None else PhysParams()
+    phys = _grid_phys(grid, phys)
     if c.eps == 0.0:
         raise GeometryError("eps = 0 has no density peak to track")
     taus = np.asarray(sorted(float(t) for t in taus), dtype=float)
@@ -273,7 +274,7 @@ def density_shift_distortion(
     returns sum w |rho_tau - rho_shifted| / sum w rho_0.  Zero means the
     evolution only displaced the profile.
     """
-    phys = phys if phys is not None else PhysParams()
+    phys = _grid_phys(field.grid, phys)
     w = _default_window(w)
     pos0 = to_rep(field, Rep.POSITION)
     pos_tau = to_rep(free_evolve(field, float(tau), phys), Rep.POSITION)
@@ -304,7 +305,7 @@ def shape_distortion(
     -((c.t+tau)^2 - c.t^2)/(2 eps).  The distortion metric should sit at
     the apodization floor; any genuine spreading would show up directly.
     """
-    phys = phys if phys is not None else PhysParams()
+    phys = _grid_phys(grid, phys)
     w = _default_window(w)
     tau = float(tau)
     if c.eps == 0.0:
@@ -345,7 +346,7 @@ def evolution_equivalence(
     scalar (drop_cubic_phase) is the negative control: fidelity stays
     perfect but the phase discrepancy becomes m tau^3/3 hbar eps^2.
     """
-    phys = phys if phys is not None else PhysParams()
+    phys = _grid_phys(grid, phys)
     w = _default_window(w)
     tau = float(tau)
     if c.eps == 0.0:
@@ -492,8 +493,10 @@ def basis_orthonormality(
     the outer coefficients smoothly so truncating the infinite lattice
     converges superpolynomially instead of at the Dirichlet 1/n rate.
     """
-    phys = phys if phys is not None else PhysParams()
+    phys = _grid_phys(grid, phys)
     hbar, m = phys.hbar, phys.m
+    if n_states < 1:
+        raise AirylabError(f"n_states must be at least 1, got {n_states}")
     w = Window.rect(window_fraction)
     ww = window_weights(grid, w, Rep.MOMENTUM)
     m_pts = int(round(float(np.sum(ww))))
@@ -561,7 +564,7 @@ def k_expectation_series(
     time argument tracks the field's clock, so the windowed expectation
     is conserved to roundoff.
     """
-    phys = phys if phys is not None else PhysParams()
+    phys = _grid_phys(field.grid, phys)
     w = _default_window(w)
     taus = [float(t) for t in taus]
     values = []
@@ -601,7 +604,7 @@ def boost_covariance_residual(
     K(t0).  The windowed residual between the two orderings is the
     covariance defect.
     """
-    phys = phys if phys is not None else PhysParams()
+    phys = _grid_phys(field.grid, phys)
     w = _default_window(w)
     v, tau = float(v), float(tau)
     a = boost(free_evolve(field, tau, phys), BoostParams(v, field.time + tau), phys)
@@ -643,7 +646,7 @@ def berry_balazs_trajectory(
     shifted initial density stays at the apodization floor, and its own
     peak trajectory must agree with the raw profile's.
     """
-    phys = phys if phys is not None else PhysParams()
+    phys = _grid_phys(grid, phys)
     w = _default_window(w)
     B = float(B)
     hbar, m = phys.hbar, phys.m
@@ -710,7 +713,7 @@ def representation_crosscheck(
     closed form, bounds the apodization plus transform error where the
     two constructions must agree.
     """
-    phys = phys if phys is not None else PhysParams()
+    phys = _grid_phys(grid, phys)
     w = _default_window(w)
     closed = perelomov_state(c, Rep.POSITION, grid, phys)
     band_r = _plan_band(c, [c.t], grid, phys, band)
@@ -749,7 +752,7 @@ def eps_to_zero_limit(
     eps = 0 closed form (chirp times Fresnel constant) for a decreasing
     eps sequence; the trend, not a rate, is the assertion.
     """
-    phys = phys if phys is not None else PhysParams()
+    phys = _grid_phys(grid, phys)
     w = _default_window(w)
     if t == 0.0:
         raise GeometryError("the eps -> 0 closed form needs t != 0")
@@ -791,7 +794,7 @@ def eps_to_infinity_fidelity(
     for an increasing eps sequence; the decoherence phase shrinks as
     m tau/eps, so the fidelity must increase monotonically toward 1.
     """
-    phys = phys if phys is not None else PhysParams()
+    phys = _grid_phys(grid, phys)
     w = _default_window(w)
     tau = float(tau)
     eps_seq = [float(e) for e in eps_seq]
@@ -834,7 +837,7 @@ def commutator_table(
     [x,p^3/6] = i hbar p^2/2, and the three vanishing brackets) in the
     windowed relative norm.
     """
-    phys = phys if phys is not None else PhysParams()
+    phys = _grid_phys(grid, phys)
     w = _default_window(w)
     probe = probe if probe is not None else GaussianParams(0.0, 0.7, 1.5)
     psi = gaussian_packet(probe, grid, phys)

@@ -5,6 +5,9 @@ applications are exact for the grid-represented field: no Trotter
 splitting, no finite differences, no dense matrices.  Unitaries return
 a field in the same representation they received.
 
+hbar comes from the field's grid; a phys argument only adds the mass and
+must carry the same hbar (GridError otherwise).
+
 Time stamps: free_evolve advances the field's time; translate, boost,
 the displacement unitary, and the Zassenhaus product preserve it (they
 relabel the state, they do not propagate it).
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AirylabError, PhysParams, Rep, WaveField, to_rep
+from .core import AirylabError, PhysParams, Rep, WaveField, _grid_phys, to_rep
 from .states import CoherentParams
 
 _TAGS = ("x", "p", "h", "k")
@@ -79,7 +82,7 @@ def apply_generator(
     The result comes back in the representation of the input field.
     K(t) = t p - m x combines the two diagonal applications.
     """
-    phys = phys if phys is not None else PhysParams()
+    phys = _grid_phys(field.grid, phys)
     if kind.tag == "x":
         pos = to_rep(field, Rep.POSITION)
         out = pos.with_amplitudes(field.grid.x * pos.amplitudes)
@@ -118,7 +121,7 @@ def boost(
     Global phase e^(-i m v^2 t / 2 hbar), then the momentum kick
     e^(-i v m x/hbar), applied to psi(x + v t).
     """
-    phys = phys if phys is not None else PhysParams()
+    phys = _grid_phys(field.grid, phys)
     hbar, m = phys.hbar, phys.m
     shifted = to_rep(translate(field, -b.v * b.t), Rep.POSITION)
     amps = (np.exp(-1j * m * b.v ** 2 * b.t / (2.0 * hbar))
@@ -131,7 +134,7 @@ def free_evolve(
     field: WaveField, tau: float, phys: PhysParams | None = None
 ) -> WaveField:
     """Exact free propagator e^(-i H tau/hbar); advances field.time by tau."""
-    phys = phys if phys is not None else PhysParams()
+    phys = _grid_phys(field.grid, phys)
     tau = float(tau)
     if not np.isfinite(tau):
         raise AirylabError("evolution time must be finite")
@@ -150,7 +153,7 @@ def apply_displacement_U(
 
     U(eps, t, xi) = exp((i/hbar)(-eps p^3/6m^2 - t p^2/2m + xi p/m)).
     """
-    phys = phys if phys is not None else PhysParams()
+    phys = _grid_phys(field.grid, phys)
     hbar, m = phys.hbar, phys.m
     mom = to_rep(field, Rep.MOMENTUM)
     p = field.grid.p
@@ -173,7 +176,7 @@ def zassenhaus_rhs(
     The factorization of e^(i v (K + eps H)/hbar) closes at these four
     factors because the algebra's deeper nested brackets vanish.
     """
-    phys = phys if phys is not None else PhysParams()
+    phys = _grid_phys(field.grid, phys)
     v, eps, t = float(v), float(eps), float(t)
     if not (np.isfinite(v) and np.isfinite(eps) and np.isfinite(t)):
         raise AirylabError("zassenhaus_rhs requires finite v, eps, t")

@@ -29,6 +29,7 @@ from .core import (
     Rep,
     ResolutionError,
     WaveField,
+    _grid_phys,
 )
 
 
@@ -132,9 +133,7 @@ def fit_band(
     margins (the state's content cannot be represented on this grid
     without folding).
     """
-    phys = phys if phys is not None else PhysParams()
-    if abs(grid.hbar - phys.hbar) > 0.0:
-        raise GridError("grid was built with a different hbar than phys")
+    phys = _grid_phys(grid, phys)
     if c.eps == 0.0 and c.t == 0.0:
         raise GeometryError(
             "eps = 0, t = 0 labels a grid delta; no band taper applies")
@@ -195,7 +194,7 @@ def gaussian_packet(
     both the box and the momentum band, so that grid moments reproduce
     the analytic ones.
     """
-    phys = phys if phys is not None else PhysParams()
+    phys = _grid_phys(grid, phys)
     if g.sigma < 4.0 * grid.dx:
         raise ResolutionError(
             f"sigma = {g.sigma:g} under-resolved: needs >= 4 dx = {4.0 * grid.dx:g}")
@@ -223,7 +222,7 @@ def xi_eigenstate_x(
     psi(x) = (2 pi hbar |t|)^(-1/2) e^((i/hbar)(m x^2 / 2t + xi x / t)),
     the eigenfunction of K(t) = t p - m x with eigenvalue xi.
     """
-    phys = phys if phys is not None else PhysParams()
+    phys = _grid_phys(grid, phys)
     t = float(t)
     xi = float(xi)
     if not (np.isfinite(t) and np.isfinite(xi)):
@@ -262,9 +261,7 @@ def perelomov_state(
     degenerates to the boost eigenstate times the Fresnel constant
     e^(-i sign(t) pi/4) e^(i xi^2 / 2 m t hbar).
     """
-    phys = phys if phys is not None else PhysParams()
-    if abs(grid.hbar - phys.hbar) > 0.0:
-        raise GridError("grid was built with a different hbar than phys")
+    phys = _grid_phys(grid, phys)
     hbar, m = phys.hbar, phys.m
 
     if rep == Rep.MOMENTUM:
@@ -335,7 +332,7 @@ def berry_balazs_initial(
     tail points along -sign(B) x).  The grid must resolve the fastest
     oscillation inside the box.
     """
-    phys = phys if phys is not None else PhysParams()
+    phys = _grid_phys(grid, phys)
     B = float(B)
     if not np.isfinite(B) or B == 0.0:
         raise AirylabError(f"B must be finite and nonzero, got {B!r}")

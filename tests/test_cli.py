@@ -98,6 +98,29 @@ class TestExitCodes:
         assert run_config(write_config(tmp_path, data),
                           str(tmp_path / "out"))[0] == EXIT_CONFIG
 
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.update(phys={"hbar": -1.0}),
+        lambda d: d["experiment"]["parameters"]["window"].update(
+            interior_fraction=float("nan")),
+        lambda d: d["experiment"]["parameters"]["window"].update(
+            interior_fraction=1.5),
+        lambda d: d["experiment"]["tolerances"].update(residual=float("nan")),
+        lambda d: d["grid"].update(x_max=10 ** 400),
+        lambda d: d.update(experiment={
+            "name": "basis_orthonormality",
+            "parameters": {"eps": 1.0, "t": 0.0, "n_states": -3}}),
+    ], ids=["negative_hbar", "nan_window_fraction", "window_fraction_above_1",
+            "nan_tolerance", "huge_integer", "negative_n_states"])
+    def test_bad_values_exit_2_without_traceback(self, tmp_path, capsys,
+                                                 mutate):
+        data = json.loads(json.dumps(BASE_VERIFY))
+        mutate(data)
+        code, artifacts = run_config(write_config(tmp_path, data),
+                                     str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG and artifacts == []
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_domain_error_during_execution(self, tmp_path):
         # validation passes, but the state cannot be resolved on the grid
         data = {

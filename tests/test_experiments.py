@@ -143,12 +143,22 @@ class TestOverlapScan:
         assert r.metrics["prefactor_rel_err"] < 1e-10
         assert r.metrics["label_dependence"] < 1e-12
 
+    def test_cube_root_law_at_small_separations(self):
+        r = overlap_scan([0.01, 0.02, 0.05, 0.1, 0.2])
+        assert r.passed
+        assert r.metrics["exponent"] == pytest.approx(-1.0 / 3.0, abs=1e-10)
+        assert r.metrics["prefactor_rel_err"] < 1e-10
+
     def test_tolerance_override_can_fail(self):
         r = overlap_scan([0.5, 1.0, 2.0], tol_exponent=1e-18)
         assert not r.passed
 
 
 class TestBasisOrthonormality:
+    def test_empty_lattice_rejected(self, grid64):
+        with pytest.raises(AirylabError, match="n_states"):
+            basis_orthonormality(1.0, 0.0, grid64, n_states=0)
+
     def test_gram_and_reconstruction(self, grid64):
         r = basis_orthonormality(1.0, 0.0, grid64)
         assert r.passed

@@ -9,10 +9,13 @@ from airylab import (
     CoherentParams,
     GaussianParams,
     GeneratorKind,
+    GridError,
+    PhysParams,
     Rep,
     apply_displacement_U,
     apply_generator,
     boost,
+    boost_covariance_residual,
     fourier,
     free_evolve,
     gaussian_packet,
@@ -224,3 +227,30 @@ class TestZassenhaus:
     def test_rejects_non_finite(self, grid64):
         with pytest.raises(AirylabError, match="finite"):
             zassenhaus_rhs(probe(grid64), float("nan"), 1.0, 0.0)
+
+
+class TestHbarSource:
+    """hbar comes from the field's grid; a phys that disagrees is an error."""
+
+    def test_mismatched_phys_rejected(self, grid64):
+        psi = probe(grid64)
+        phys = PhysParams(hbar=2.0)
+        for op in (lambda: boost(psi, BoostParams(0.8), phys),
+                   lambda: free_evolve(psi, 0.5, phys),
+                   lambda: apply_generator(GeneratorKind.h(), psi, phys),
+                   lambda: apply_displacement_U(psi, CoherentParams(1.0), phys),
+                   lambda: zassenhaus_rhs(psi, 0.3, 0.5, 0.2, phys),
+                   lambda: boost_covariance_residual(psi, 0.8, 0.7, phys)):
+            with pytest.raises(GridError, match="different hbar"):
+                op()
+
+    def test_default_phys_follows_grid(self):
+        phys = PhysParams(hbar=2.0)
+        grid = make_grid(2048, -64.0, 64.0, phys)
+        psi = probe(grid, x0=0.0)
+        r = boost_covariance_residual(psi, 0.8, 0.7)
+        assert r.metrics["residual"] < 1e-12
+        assert r.config["phys"]["hbar"] == 2.0
+        a = free_evolve(boost(psi, BoostParams(0.8, 0.3)), 0.5)
+        b = free_evolve(boost(psi, BoostParams(0.8, 0.3), phys), 0.5, phys)
+        assert np.array_equal(a.amplitudes, b.amplitudes)
