@@ -3,8 +3,12 @@
 The config file is the provenance: a JSON document selecting a command
 (State, Evolve, Verify, Scan), a grid, physical constants, a state, and
 for verification commands an experiment spec with parameter and
-tolerance overrides.  Everything is validated before any computation;
-unknown keys are rejected at every level.
+tolerance overrides.  The grid is built with the constants and carries
+them into every computation.  Everything is validated before any
+computation; unknown keys are rejected at every level.  What an
+experiment accepts is read from `experiments.EXPERIMENTS` and from its
+signature: parameters without a default are required, and `c` or
+`field` in the signature means the config needs a state.
 
 Exit codes are a stable contract:
     0  run completed and every declared tolerance passed
@@ -20,6 +24,7 @@ into place, so readers never observe a half-written file.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -40,22 +45,8 @@ from .core import (
     to_rep,
     windowed_norm,
 )
-from .experiments import (
-    _parabolic_peak,
-    acceleration_fit,
-    basis_orthonormality,
-    berry_balazs_trajectory,
-    boost_covariance_residual,
-    commutator_table,
-    eigenrelation_residual,
-    eps_to_infinity_fidelity,
-    eps_to_zero_limit,
-    evolution_equivalence,
-    k_expectation_series,
-    overlap_scan,
-    representation_crosscheck,
-    shape_distortion,
-)
+from . import experiments
+from .experiments import _parabolic_peak
 from .operators import free_evolve
 from .states import (
     BandTaper,
@@ -297,7 +288,6 @@ def _parse_probe(v, where: str) -> GaussianParams:
 
 _VALIDATORS = {
     "num": _num,
-    "int": _intval,
     "count": _count,
     "bool": _boolval,
     "numlist": _numlist,
@@ -332,200 +322,54 @@ def _validate_state_spec(spec, where: str) -> dict:
     return out
 
 
-def _build_state(spec: dict, grid: Grid, phys: PhysParams) -> WaveField:
+def _coherent(spec: dict) -> CoherentParams:
+    return CoherentParams(eps=spec["eps"], xi=spec.get("xi", 0.0),
+                          t=spec.get("t", 0.0))
+
+
+def _build_state(spec: dict, grid: Grid) -> WaveField:
     kind = spec["kind"]
     if kind == "perelomov":
-        c = CoherentParams(eps=spec["eps"], xi=spec.get("xi", 0.0),
-                           t=spec.get("t", 0.0))
-        mom = perelomov_state(c, Rep.MOMENTUM, grid, phys,
+        mom = perelomov_state(_coherent(spec), Rep.MOMENTUM, grid,
                               band=spec.get("band", "auto"))
         return to_rep(mom, Rep.POSITION)
     if kind == "gaussian":
         g = GaussianParams(x0=spec.get("x0", 0.0), p0=spec.get("p0", 0.0),
                            sigma=spec.get("sigma", 1.0))
-        return gaussian_packet(g, grid, phys)
+        return gaussian_packet(g, grid)
     if kind == "berry_balazs":
-        return berry_balazs_initial(spec["B"], grid, phys)
-    return xi_eigenstate_x(spec["xi"], spec["t"], grid, phys)
+        return berry_balazs_initial(spec["B"], grid)
+    return xi_eigenstate_x(spec["xi"], spec["t"], grid)
 
 
-def _coherent_from_state(state_spec: dict | None, name: str) -> CoherentParams:
-    if state_spec is None or state_spec["kind"] != "perelomov":
-        raise ConfigError(
-            f"experiment {name!r} requires a state of kind 'perelomov'")
-    return CoherentParams(eps=state_spec["eps"], xi=state_spec.get("xi", 0.0),
-                          t=state_spec.get("t", 0.0))
+def _keyword(param: str) -> str:
+    """The keyword a config parameter is passed as: its own name, except
+    `window`, which experiments take as `w`."""
+    return "w" if param == "window" else param
 
 
-# registry: name -> (param schema {key: (tag, required)},
-#                    tolerance metric -> kwarg,
-#                    state requirement,
-#                    runner(grid, phys, state_spec, params, tols))
-
-def _run_eigen(grid, phys, state_spec, p, tols):
-    c = _coherent_from_state(state_spec, "eigenrelation_residual")
-    return eigenrelation_residual(
-        c, grid, phys, w=p.get("window"), band=p.get("band", "auto"),
-        xi_probe=p.get("xi_probe"), **tols)
-
-
-def _run_accel(grid, phys, state_spec, p, tols):
-    c = _coherent_from_state(state_spec, "acceleration_fit")
-    return acceleration_fit(c, p["taus"], grid, phys,
-                            band=p.get("band", "auto"), **tols)
-
-
-def _run_shape(grid, phys, state_spec, p, tols):
-    c = _coherent_from_state(state_spec, "shape_distortion")
-    return shape_distortion(c, p["tau"], grid, phys, w=p.get("window"),
-                            band=p.get("band", "auto"), **tols)
-
-
-def _run_evolution(grid, phys, state_spec, p, tols):
-    c = _coherent_from_state(state_spec, "evolution_equivalence")
-    return evolution_equivalence(
-        c, p["tau"], grid, phys, w=p.get("window"),
-        band=p.get("band", "auto"),
-        drop_cubic_phase=p.get("drop_cubic_phase", False), **tols)
-
-
-def _run_overlap(grid, phys, state_spec, p, tols):
-    return overlap_scan(p["eps_list"], xi=p.get("xi", 0.0), t=p.get("t", 0.0),
-                        eps_ref=p.get("eps_ref", 0.0),
-                        quad_tol=p.get("quad_tol", 1.0e-7),
-                        xi_alt_offset=p.get("xi_alt_offset", 5.0), **tols)
-
-
-def _run_basis(grid, phys, state_spec, p, tols):
-    kwargs = {}
-    if "n_states" in p:
-        kwargs["n_states"] = p["n_states"]
-    if "window_fraction" in p:
-        kwargs["window_fraction"] = p["window_fraction"]
-    if "sum_taper_frac" in p:
-        kwargs["sum_taper_frac"] = p["sum_taper_frac"]
-    return basis_orthonormality(p["eps"], p["t"], grid, phys,
-                                probe=p.get("probe"), **kwargs, **tols)
-
-
-def _run_kseries(grid, phys, state_spec, p, tols):
-    if state_spec is None:
-        raise ConfigError("experiment 'k_expectation_series' requires a state")
-    field = _build_state(state_spec, grid, phys)
-    return k_expectation_series(field, p["taus"], phys, w=p.get("window"),
-                                **tols)
-
-
-def _run_boostcov(grid, phys, state_spec, p, tols):
-    if state_spec is None:
-        raise ConfigError("experiment 'boost_covariance_residual' requires a state")
-    field = _build_state(state_spec, grid, phys)
-    return boost_covariance_residual(field, p["v"], p["tau"], phys,
-                                     w=p.get("window"), **tols)
-
-
-def _run_bbtraj(grid, phys, state_spec, p, tols):
-    return berry_balazs_trajectory(p["B"], p["t_list"], grid, phys,
-                                   w=p.get("window"),
-                                   band=p.get("band", "auto"), **tols)
-
-
-def _run_crosscheck(grid, phys, state_spec, p, tols):
-    c = _coherent_from_state(state_spec, "representation_crosscheck")
-    return representation_crosscheck(c, grid, phys, w=p.get("window"),
-                                     band=p.get("band", "auto"), **tols)
-
-
-def _run_epszero(grid, phys, state_spec, p, tols):
-    return eps_to_zero_limit(p["eps_seq"], p["xi"], p["t"], grid, phys,
-                             w=p.get("window"), band=p.get("band", "auto"))
-
-
-def _run_epsinf(grid, phys, state_spec, p, tols):
-    return eps_to_infinity_fidelity(p["eps_seq"], p["tau"], grid, phys,
-                                    w=p.get("window"),
-                                    band=p.get("band", "auto"))
-
-
-def _run_commutators(grid, phys, state_spec, p, tols):
-    return commutator_table(grid, phys, w=p.get("window"),
-                            probe=p.get("probe"), **tols)
-
-
-_EXPERIMENTS = {
-    "eigenrelation_residual": (
-        {"window": ("window", False), "band": ("band", False),
-         "xi_probe": ("num", False)},
-        {"residual": "tol"}, _run_eigen),
-    "acceleration_fit": (
-        {"taus": ("numlist", True), "band": ("band", False)},
-        {"rel_err": "tol_rel"}, _run_accel),
-    "shape_distortion": (
-        {"tau": ("num", True), "window": ("window", False),
-         "band": ("band", False)},
-        {"distortion": "tol"}, _run_shape),
-    "evolution_equivalence": (
-        {"tau": ("num", True), "window": ("window", False),
-         "band": ("band", False), "drop_cubic_phase": ("bool", False)},
-        {"fidelity_deficit": "tol_fidelity", "phase_discrepancy": "tol_phase"},
-        _run_evolution),
-    "overlap_scan": (
-        {"eps_list": ("numlist", True), "xi": ("num", False),
-         "t": ("num", False), "eps_ref": ("num", False),
-         "quad_tol": ("num", False), "xi_alt_offset": ("num", False)},
-        {"exponent_err": "tol_exponent", "label_dependence": "tol_label_dep"},
-        _run_overlap),
-    "basis_orthonormality": (
-        {"eps": ("num", True), "t": ("num", True), "n_states": ("count", False),
-         "window_fraction": ("num", False), "probe": ("probe", False),
-         "sum_taper_frac": ("num", False)},
-        {"diag_flatness": "tol_diag",
-         "offdiag_suppression_min": "min_suppression",
-         "reconstruction_err": "tol_recon"}, _run_basis),
-    "k_expectation_series": (
-        {"taus": ("numlist", True), "window": ("window", False)},
-        {"drift": "tol"}, _run_kseries),
-    "boost_covariance_residual": (
-        {"v": ("num", True), "tau": ("num", True), "window": ("window", False)},
-        {"residual": "tol"}, _run_boostcov),
-    "berry_balazs_trajectory": (
-        {"B": ("num", True), "t_list": ("numlist", True),
-         "window": ("window", False), "band": ("band", False)},
-        {"coeff_rel_err": "tol_coeff", "distortion_max": "tol_distortion"},
-        _run_bbtraj),
-    "representation_crosscheck": (
-        {"window": ("window", False), "band": ("band", False)},
-        {"sup_rel": "tol"}, _run_crosscheck),
-    "eps_to_zero_limit": (
-        {"eps_seq": ("numlist", True), "xi": ("num", True), "t": ("num", True),
-         "window": ("window", False), "band": ("band", False)},
-        {}, _run_epszero),
-    "eps_to_infinity_fidelity": (
-        {"eps_seq": ("numlist", True), "tau": ("num", True),
-         "window": ("window", False), "band": ("band", False)},
-        {}, _run_epsinf),
-    "commutator_table": (
-        {"window": ("window", False), "probe": ("probe", False)},
-        {"max_rel_err": "tol"}, _run_commutators),
-}
-
-
-def _validate_experiment_spec(spec, where: str) -> dict:
+def _validate_experiment_spec(spec, where: str, state_spec) -> dict:
     _check_keys(spec, where, ("name",), ("parameters", "tolerances"))
     name = _strval(spec["name"], f"{where}.name")
-    if name not in _EXPERIMENTS:
+    if name not in experiments.EXPERIMENTS:
         raise ConfigError(
             f"{where}.name: unknown experiment {name!r}; "
-            f"known: {sorted(_EXPERIMENTS)}")
-    schema, tol_map, _runner = _EXPERIMENTS[name]
+            f"known: {sorted(experiments.EXPERIMENTS)}")
+    tags, tol_map = experiments.EXPERIMENTS[name]
+    signature = inspect.signature(getattr(experiments, name)).parameters
+    if "c" in signature and (state_spec is None
+                             or state_spec["kind"] != "perelomov"):
+        raise ConfigError(
+            f"experiment {name!r} requires a state of kind 'perelomov'")
+    if "field" in signature and state_spec is None:
+        raise ConfigError(f"experiment {name!r} requires a state")
+    required = tuple(k for k in tags if signature[_keyword(k)].default
+                     is inspect.Parameter.empty)
     raw_params = spec.get("parameters", {})
-    required = tuple(k for k, (_t, req) in schema.items() if req)
-    optional = tuple(k for k, (_t, req) in schema.items() if not req)
-    _check_keys(raw_params, f"{where}.parameters", required, optional)
-    params = {}
-    for key, value in raw_params.items():
-        tag, _req = schema[key]
-        params[key] = _VALIDATORS[tag](value, f"{where}.parameters.{key}")
+    _check_keys(raw_params, f"{where}.parameters", required,
+                tuple(k for k in tags if k not in required))
+    params = {key: _VALIDATORS[tags[key]](value, f"{where}.parameters.{key}")
+              for key, value in raw_params.items()}
     raw_tols = spec.get("tolerances", {})
     _check_keys(raw_tols, f"{where}.tolerances", (), tuple(tol_map))
     tols = {tol_map[k]: _num(v, f"{where}.tolerances.{k}")
@@ -539,11 +383,11 @@ _OUTPUT_KEYS = ("report", "csv", "trajectory_csv", "svg")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description: command, grid, phys, state, experiments."""
+    """Validated run description: command, grid (which holds the physical
+    constants), state, experiments."""
 
     command: str
     grid: Grid
-    phys: PhysParams
     state_spec: dict | None
     experiments: tuple
     evolve_taus: tuple
@@ -578,20 +422,20 @@ class RunConfig:
             state_spec = _validate_state_spec(data["state"], "config.state")
         if command in ("State", "Evolve") and state_spec is None:
             raise ConfigError(f"command {command} requires config.state")
-        experiments: list = []
+        runs: list = []
         if command == "Verify":
             if "experiment" not in data:
                 raise ConfigError("command Verify requires config.experiment")
-            experiments = [_validate_experiment_spec(data["experiment"],
-                                                     "config.experiment")]
+            runs = [_validate_experiment_spec(data["experiment"],
+                                              "config.experiment", state_spec)]
         elif command == "Scan":
             specs = data.get("experiments")
             if not isinstance(specs, list) or not specs:
                 raise ConfigError(
                     "command Scan requires a non-empty config.experiments array")
-            experiments = [
-                _validate_experiment_spec(s, f"config.experiments[{i}]")
-                for i, s in enumerate(specs)]
+            runs = [_validate_experiment_spec(s, f"config.experiments[{i}]",
+                                              state_spec)
+                    for i, s in enumerate(specs)]
         else:
             for key in ("experiment", "experiments"):
                 if key in data:
@@ -616,21 +460,30 @@ class RunConfig:
         if command == "Evolve":
             outputs.setdefault("csv", "state.csv")
             outputs.setdefault("trajectory_csv", "trajectory.csv")
-        return cls(command=command, grid=grid, phys=phys,
-                   state_spec=state_spec, experiments=tuple(experiments),
+        return cls(command=command, grid=grid,
+                   state_spec=state_spec, experiments=tuple(runs),
                    evolve_taus=evolve_taus, outputs=outputs)
 
 
 # ----------------------------------------------------------------------
 # execution
 
-def _run_experiments(cfg: RunConfig) -> list:
-    reports = []
-    for spec in cfg.experiments:
-        _schema, _tols, runner = _EXPERIMENTS[spec["name"]]
-        reports.append(runner(cfg.grid, cfg.phys, cfg.state_spec,
-                              spec["params"], spec["tols"]))
-    return reports
+def _run_experiment(cfg: RunConfig, spec: dict):
+    """Call the named experiment, looked up on its module at call time,
+    with the validated parameters and tolerances as keywords; anything
+    not given keeps the function's own default."""
+    run = getattr(experiments, spec["name"])
+    signature = inspect.signature(run).parameters
+    kwargs = {_keyword(k): v for k, v in spec["params"].items()}
+    if "grid" in signature:
+        kwargs["grid"] = cfg.grid
+    if "phys" in signature:
+        kwargs["phys"] = cfg.grid.phys
+    if "c" in signature:
+        kwargs["c"] = _coherent(cfg.state_spec)
+    if "field" in signature:
+        kwargs["field"] = _build_state(cfg.state_spec, cfg.grid)
+    return run(**kwargs, **spec["tols"])
 
 
 def _execute(cfg: RunConfig, out_dir: str, echo, seed) -> tuple[bool, list]:
@@ -646,7 +499,7 @@ def _execute(cfg: RunConfig, out_dir: str, echo, seed) -> tuple[bool, list]:
     reports = []
     passed = True
     if cfg.command in ("State", "Evolve"):
-        field = _build_state(cfg.state_spec, cfg.grid, cfg.phys)
+        field = _build_state(cfg.state_spec, cfg.grid)
         if cfg.command == "State":
             emit_csv(field, target("csv"))
             if "svg" in cfg.outputs:
@@ -661,12 +514,12 @@ def _execute(cfg: RunConfig, out_dir: str, echo, seed) -> tuple[bool, list]:
             rows = []
             final = field
             for tau in cfg.evolve_taus:
-                final = to_rep(free_evolve(field, tau, cfg.phys), Rep.POSITION)
+                final = to_rep(free_evolve(field, tau), Rep.POSITION)
                 rows.append((final.time, _parabolic_peak(final)))
             emit_csv(final, target("csv"))
             emit_csv(rows, target("trajectory_csv"))
             if "svg" in cfg.outputs:
-                first = to_rep(free_evolve(field, cfg.evolve_taus[0], cfg.phys),
+                first = to_rep(free_evolve(field, cfg.evolve_taus[0]),
                                Rep.POSITION)
                 emit_svg_plot(
                     [(f"tau={cfg.evolve_taus[0]:g}", cfg.grid.x,
@@ -680,7 +533,8 @@ def _execute(cfg: RunConfig, out_dir: str, echo, seed) -> tuple[bool, list]:
                             "peaks": [r[1] for r in rows]},
                 "config": cfg.state_spec, "tolerances": {}, "passed": True})
     else:
-        for rep in _run_experiments(cfg):
+        for spec in cfg.experiments:
+            rep = _run_experiment(cfg, spec)
             reports.append(rep.to_dict())
             passed = passed and rep.passed
 
@@ -721,7 +575,8 @@ def run_config(path: str, out_dir: str = ".",
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO, []
-    except AirylabError as exc:
+    except (AirylabError, ArithmeticError) as exc:
+        # overflow or a zero divisor from extreme labels is a domain error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE, []
     return (EXIT_OK if passed else EXIT_TOLERANCE), artifacts

@@ -81,13 +81,19 @@ class Grid:
 
     x samples are x_min + k*dx for k = 0..n_points-1 (x_max itself is the
     periodic seam, not a sample).  The momentum lattice is in FFT order with
-    spacing 2*pi*hbar/(n_points*dx) and max |p| = pi*hbar/dx.
+    spacing 2*pi*hbar/(n_points*dx) and max |p| = pi*hbar/dx.  The grid is
+    the one holder of the physical constants: every state, operator and
+    experiment on it reads hbar and m from `phys`.
     """
 
     n_points: int
     x_min: float
     x_max: float
-    hbar: float = 1.0
+    phys: PhysParams = PhysParams()
+
+    @property
+    def hbar(self) -> float:
+        return self.phys.hbar
 
     @property
     def dx(self) -> float:
@@ -122,19 +128,8 @@ def make_grid(n_points: int, x_min: float, x_max: float,
             f"n_points must be a power of two and at least 8, got {n_points}")
     if not x_max > x_min:
         raise GridError(f"x_max must exceed x_min, got [{x_min}, {x_max}]")
-    hbar = (phys or PhysParams()).hbar
     return Grid(n_points=int(n_points), x_min=float(x_min), x_max=float(x_max),
-                hbar=float(hbar))
-
-
-def _grid_phys(grid: Grid, phys: PhysParams | None) -> PhysParams:
-    """The constants to use on grid: PhysParams(hbar=grid.hbar) when phys is
-    None; a phys whose hbar differs from the grid's is rejected."""
-    if phys is None:
-        return PhysParams(hbar=grid.hbar)
-    if phys.hbar != grid.hbar:
-        raise GridError("grid was built with a different hbar than phys")
-    return phys
+                phys=phys or PhysParams())
 
 
 @dataclass(frozen=True)

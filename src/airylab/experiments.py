@@ -7,7 +7,9 @@ ExperimentReport holding the measured metrics, the configuration that
 produced them, the tolerances they were judged against, and a pass flag.
 
 Geometry is always explicit: callers supply the grid, window, and band
-policy, so a report can be reproduced from its config dict alone.
+policy, so a report can be reproduced from its config dict alone.  The
+grid carries the physical constants hbar and m (`grid.phys`); only
+overlap_scan, which takes no grid, takes a `phys` of its own.
 Windowed norms deliberately exclude the band-taper shoulders, whose
 stationary-phase images carry the apodization error of a truncated
 momentum build; metrics inside the window probe the family itself.
@@ -31,7 +33,6 @@ from .core import (
     WaveField,
     Window,
     WindowEscapeError,
-    _grid_phys,
     inner_product,
     to_rep,
     window_weights,
@@ -77,6 +78,20 @@ __all__ = [
 
 # first maximum of Ai, to the double nearest the true root of Ai'
 _AIRY_FIRST_PEAK = -1.0187929716474771
+
+# The experiments a config can name: name -> (parameter -> validator tag,
+# tolerance metric -> keyword).  It holds only what a signature cannot
+# say; the config runner in cli.py reads the rest from the signature: a
+# parameter without a default is required, `c` takes the config's
+# perelomov state, `field` its built state, `grid` and `phys` its grid.
+EXPERIMENTS: dict[str, tuple[dict, dict]] = {}
+
+
+def _experiment(tolerances: dict, **params: str):
+    def register(fn):
+        EXPERIMENTS[fn.__name__] = (params, tolerances)
+        return fn
+    return register
 
 
 @dataclass(frozen=True)
@@ -129,7 +144,7 @@ def _default_window(w: Window | None) -> Window:
     return w if w is not None else Window.rect(0.5)
 
 
-def _plan_band(c: CoherentParams, times, grid: Grid, phys: PhysParams,
+def _plan_band(c: CoherentParams, times, grid: Grid,
                band: BandTaper | str | None) -> BandTaper | None:
     """Resolve a band policy against the worst-case content over `times`.
 
@@ -142,15 +157,15 @@ def _plan_band(c: CoherentParams, times, grid: Grid, phys: PhysParams,
     if band != "auto":
         raise AirylabError(f"band must be 'auto', None, or a BandTaper, got {band!r}")
     times = sorted({float(t) for t in times})
-    fits = [fit_band(dataclasses.replace(c, t=t), grid, phys)
+    fits = [fit_band(dataclasses.replace(c, t=t), grid)
             for t in (times[0], times[-1])]
     return BandTaper(p_plateau=min(f.p_plateau for f in fits),
                      p_support=min(f.p_support for f in fits))
 
 
-def _family_position(c: CoherentParams, grid: Grid, phys: PhysParams,
+def _family_position(c: CoherentParams, grid: Grid,
                      band: BandTaper | None) -> WaveField:
-    mom = perelomov_state(c, Rep.MOMENTUM, grid, phys, band=band)
+    mom = perelomov_state(c, Rep.MOMENTUM, grid, band=band)
     return to_rep(mom, Rep.POSITION)
 
 
@@ -169,10 +184,11 @@ def _parabolic_peak(field: WaveField) -> float:
     return float(grid.x[j] + 0.5 * grid.dx * (rho[j - 1] - rho[j + 1]) / d2)
 
 
+@_experiment({"residual": "tol"},
+             window="window", band="band", xi_probe="num")
 def eigenrelation_residual(
     c: CoherentParams,
     grid: Grid,
-    phys: PhysParams | None = None,
     w: Window | None = None,
     band: BandTaper | str | None = "auto",
     *,
@@ -185,14 +201,13 @@ def eigenrelation_residual(
     (the state itself keeps c.xi); probing a wrong eigenvalue is the
     negative control and must fail the tolerance.
     """
-    phys = _grid_phys(grid, phys)
     w = _default_window(w)
     probe = c.xi if xi_probe is None else float(xi_probe)
-    band_r = _plan_band(c, [c.t], grid, phys, band) \
+    band_r = _plan_band(c, [c.t], grid, band) \
         if not (c.eps == 0.0 and c.t == 0.0) else None
-    psi = _family_position(c, grid, phys, band_r)
-    kpsi = apply_generator(GeneratorKind.k(c.t), psi, phys)
-    hpsi = apply_generator(GeneratorKind.h(), psi, phys)
+    psi = _family_position(c, grid, band_r)
+    kpsi = apply_generator(GeneratorKind.k(c.t), psi)
+    hpsi = apply_generator(GeneratorKind.h(), psi)
     res = psi.with_amplitudes(
         kpsi.amplitudes + c.eps * hpsi.amplitudes - probe * psi.amplitudes)
     denom = windowed_norm(psi, w)
@@ -203,18 +218,18 @@ def eigenrelation_residual(
         name="eigenrelation_residual",
         metrics={"residual": float(r), "windowed_norm": float(denom)},
         config={"params": _c_cfg(c), "xi_probe": probe, "grid": _grid_cfg(grid),
-                "phys": _phys_cfg(phys), "window": _win_cfg(w),
+                "phys": _phys_cfg(grid.phys), "window": _win_cfg(w),
                 "band": _band_cfg(band_r)},
         tolerances={"residual": tol},
         passed=bool(r <= tol),
     )
 
 
+@_experiment({"rel_err": "tol_rel"}, taus="numlist", band="band")
 def acceleration_fit(
     c: CoherentParams,
     taus,
     grid: Grid,
-    phys: PhysParams | None = None,
     band: BandTaper | str | None = "auto",
     *,
     tol_rel: float = 0.01,
@@ -225,7 +240,6 @@ def acceleration_fit(
     offsets from c.t; the tau range must let the peak travel at least
     20 dx so the quadratic term is measured, not extrapolated.
     """
-    phys = _grid_phys(grid, phys)
     if c.eps == 0.0:
         raise GeometryError("eps = 0 has no density peak to track")
     taus = np.asarray(sorted(float(t) for t in taus), dtype=float)
@@ -236,11 +250,11 @@ def acceleration_fit(
         raise GeometryError(
             f"expected peak travel {travel:.3g} spans fewer than 20 grid "
             "steps; widen the tau range")
-    band_r = _plan_band(c, [c.t + taus.min(), c.t + taus.max()], grid, phys, band)
-    mom0 = perelomov_state(c, Rep.MOMENTUM, grid, phys, band=band_r)
+    band_r = _plan_band(c, [c.t + taus.min(), c.t + taus.max()], grid, band)
+    mom0 = perelomov_state(c, Rep.MOMENTUM, grid, band=band_r)
     peaks = []
     for tau in taus:
-        evolved = to_rep(free_evolve(mom0, float(tau), phys), Rep.POSITION)
+        evolved = to_rep(free_evolve(mom0, float(tau)), Rep.POSITION)
         peaks.append(_parabolic_peak(evolved))
     peaks = np.asarray(peaks)
     design = np.stack([np.ones_like(taus), taus ** 2 / 2.0], axis=1)
@@ -255,7 +269,7 @@ def acceleration_fit(
                  "rel_err": float(rel_err), "fit_residual": fit_resid,
                  "peaks": _floats(peaks), "taus": _floats(taus)},
         config={"params": _c_cfg(c), "grid": _grid_cfg(grid),
-                "phys": _phys_cfg(phys), "band": _band_cfg(band_r)},
+                "phys": _phys_cfg(grid.phys), "band": _band_cfg(band_r)},
         tolerances={"rel_err": tol_rel},
         passed=bool(rel_err <= tol_rel),
     )
@@ -265,7 +279,6 @@ def density_shift_distortion(
     field: WaveField,
     tau: float,
     shift: float,
-    phys: PhysParams | None = None,
     w: Window | None = None,
 ) -> float:
     """Windowed L1 mismatch between the evolved density and a rigid shift.
@@ -274,10 +287,9 @@ def density_shift_distortion(
     returns sum w |rho_tau - rho_shifted| / sum w rho_0.  Zero means the
     evolution only displaced the profile.
     """
-    phys = _grid_phys(field.grid, phys)
     w = _default_window(w)
     pos0 = to_rep(field, Rep.POSITION)
-    pos_tau = to_rep(free_evolve(field, float(tau), phys), Rep.POSITION)
+    pos_tau = to_rep(free_evolve(field, float(tau)), Rep.POSITION)
     ref = to_rep(translate(pos0, float(shift)), Rep.POSITION)
     ww = window_weights(field.grid, w, Rep.POSITION)
     rho0 = pos0.density()
@@ -288,11 +300,11 @@ def density_shift_distortion(
     return num / den
 
 
+@_experiment({"distortion": "tol"}, tau="num", window="window", band="band")
 def shape_distortion(
     c: CoherentParams,
     tau: float,
     grid: Grid,
-    phys: PhysParams | None = None,
     w: Window | None = None,
     band: BandTaper | str | None = "auto",
     *,
@@ -305,31 +317,32 @@ def shape_distortion(
     -((c.t+tau)^2 - c.t^2)/(2 eps).  The distortion metric should sit at
     the apodization floor; any genuine spreading would show up directly.
     """
-    phys = _grid_phys(grid, phys)
     w = _default_window(w)
     tau = float(tau)
     if c.eps == 0.0:
         raise GeometryError("eps = 0 does not displace rigidly; no prediction")
-    band_r = _plan_band(c, [c.t, c.t + tau], grid, phys, band)
-    mom0 = perelomov_state(c, Rep.MOMENTUM, grid, phys, band=band_r)
+    band_r = _plan_band(c, [c.t, c.t + tau], grid, band)
+    mom0 = perelomov_state(c, Rep.MOMENTUM, grid, band=band_r)
     displacement = -((c.t + tau) ** 2 - c.t ** 2) / (2.0 * c.eps)
-    d = density_shift_distortion(mom0, tau, displacement, phys, w)
+    d = density_shift_distortion(mom0, tau, displacement, w)
     return ExperimentReport(
         name="shape_distortion",
         metrics={"distortion": float(d), "displacement": float(displacement)},
         config={"params": _c_cfg(c), "tau": tau, "grid": _grid_cfg(grid),
-                "phys": _phys_cfg(phys), "window": _win_cfg(w),
+                "phys": _phys_cfg(grid.phys), "window": _win_cfg(w),
                 "band": _band_cfg(band_r)},
         tolerances={"distortion": tol},
         passed=bool(d <= tol),
     )
 
 
+@_experiment({"fidelity_deficit": "tol_fidelity",
+              "phase_discrepancy": "tol_phase"},
+             tau="num", window="window", band="band", drop_cubic_phase="bool")
 def evolution_equivalence(
     c: CoherentParams,
     tau: float,
     grid: Grid,
-    phys: PhysParams | None = None,
     w: Window | None = None,
     band: BandTaper | str | None = "auto",
     *,
@@ -346,19 +359,18 @@ def evolution_equivalence(
     scalar (drop_cubic_phase) is the negative control: fidelity stays
     perfect but the phase discrepancy becomes m tau^3/3 hbar eps^2.
     """
-    phys = _grid_phys(grid, phys)
     w = _default_window(w)
     tau = float(tau)
     if c.eps == 0.0:
         raise GeometryError("the factorization needs eps != 0")
     if c.t != 0.0:
         raise AirylabError("the identity is anchored at label time t = 0")
-    hbar, m = phys.hbar, phys.m
-    band_r = _plan_band(c, [0.0, tau], grid, phys, band)
-    mom0 = perelomov_state(c, Rep.MOMENTUM, grid, phys, band=band_r)
-    lhs = to_rep(free_evolve(mom0, tau, phys), Rep.POSITION)
+    hbar, m = grid.phys.hbar, grid.phys.m
+    band_r = _plan_band(c, [0.0, tau], grid, band)
+    mom0 = perelomov_state(c, Rep.MOMENTUM, grid, band=band_r)
+    lhs = to_rep(free_evolve(mom0, tau), Rep.POSITION)
     rhs = translate(mom0, -tau ** 2 / (2.0 * c.eps))
-    rhs = boost(rhs, BoostParams(v=tau / c.eps, t=0.0), phys)
+    rhs = boost(rhs, BoostParams(v=tau / c.eps, t=0.0))
     scalar = np.exp(-1j * tau * c.xi / (hbar * c.eps))
     if not drop_cubic_phase:
         scalar *= np.exp(-1j * m * tau ** 3 / (3.0 * hbar * c.eps ** 2))
@@ -377,7 +389,7 @@ def evolution_equivalence(
         metrics={"fidelity": float(fidelity), "fidelity_deficit": float(deficit),
                  "phase_discrepancy": phase},
         config={"params": _c_cfg(c), "tau": tau, "grid": _grid_cfg(grid),
-                "phys": _phys_cfg(phys), "window": _win_cfg(w),
+                "phys": _phys_cfg(grid.phys), "window": _win_cfg(w),
                 "band": _band_cfg(band_r),
                 "drop_cubic_phase": bool(drop_cubic_phase)},
         tolerances={"fidelity_deficit": tol_fidelity,
@@ -397,12 +409,16 @@ def _pair_overlap(ca: CoherentParams, cb: CoherentParams,
     return complex(val) / (TWO_PI * hbar * m)
 
 
+@_experiment({"exponent_err": "tol_exponent",
+              "label_dependence": "tol_label_dep"},
+             eps_list="numlist", xi="num", t="num", eps_ref="num",
+             quad_tol="num", xi_alt_offset="num")
 def overlap_scan(
     eps_list,
     xi: float = 0.0,
     t: float = 0.0,
     eps_ref: float = 0.0,
-    phys: PhysParams | None = None,
+    phys: PhysParams = PhysParams(),
     *,
     quad_tol: float = 1.0e-7,
     xi_alt_offset: float = 5.0,
@@ -417,7 +433,6 @@ def overlap_scan(
     label independence is measured by rerunning the scan at shifted
     labels.
     """
-    phys = phys if phys is not None else PhysParams()
     hbar, m = phys.hbar, phys.m
     eps_list = [float(e) for e in eps_list]
     deltas = [e - eps_ref for e in eps_list]
@@ -465,11 +480,15 @@ def overlap_scan(
     )
 
 
+@_experiment({"diag_flatness": "tol_diag",
+              "offdiag_suppression_min": "min_suppression",
+              "reconstruction_err": "tol_recon"},
+             eps="num", t="num", n_states="count", window_fraction="num",
+             probe="probe", sum_taper_frac="num")
 def basis_orthonormality(
     eps: float,
     t: float,
     grid: Grid,
-    phys: PhysParams | None = None,
     *,
     n_states: int = 256,
     window_fraction: float = 0.5,
@@ -493,10 +512,12 @@ def basis_orthonormality(
     the outer coefficients smoothly so truncating the infinite lattice
     converges superpolynomially instead of at the Dirichlet 1/n rate.
     """
-    phys = _grid_phys(grid, phys)
-    hbar, m = phys.hbar, phys.m
+    hbar, m = grid.phys.hbar, grid.phys.m
     if n_states < 1:
         raise AirylabError(f"n_states must be at least 1, got {n_states}")
+    if not 0.0 < window_fraction <= 1.0:
+        raise AirylabError(
+            f"window_fraction must lie in (0, 1], got {window_fraction}")
     w = Window.rect(window_fraction)
     ww = window_weights(grid, w, Rep.MOMENTUM)
     m_pts = int(round(float(np.sum(ww))))
@@ -520,7 +541,7 @@ def basis_orthonormality(
     suppression = float(np.min(diag) / max(max_off, np.finfo(float).tiny))
 
     probe = probe if probe is not None else GaussianParams(0.0, 0.0, 1.0)
-    probe_m = to_rep(gaussian_packet(probe, grid, phys), Rep.MOMENTUM)
+    probe_m = to_rep(gaussian_packet(probe, grid), Rep.MOMENTUM)
     coeffs = (weighted @ probe_m.amplitudes) * grid.dp
     u = (np.arange(n_states) + 0.5) / n_states
     ramp = np.minimum(u, 1.0 - u) / max(sum_taper_frac, 1.0e-12)
@@ -541,7 +562,7 @@ def basis_orthonormality(
         config={"eps": eps, "t": t, "n_states": n_states,
                 "window_fraction": window_fraction,
                 "sum_taper_frac": sum_taper_frac, "grid": _grid_cfg(grid),
-                "phys": _phys_cfg(phys),
+                "phys": _phys_cfg(grid.phys),
                 "probe": {"x0": probe.x0, "p0": probe.p0, "sigma": probe.sigma}},
         tolerances={"diag_flatness": tol_diag,
                     "offdiag_suppression_min": min_suppression,
@@ -550,10 +571,10 @@ def basis_orthonormality(
     )
 
 
+@_experiment({"drift": "tol"}, taus="numlist", window="window")
 def k_expectation_series(
     field: WaveField,
     taus,
-    phys: PhysParams | None = None,
     w: Window | None = None,
     *,
     tol: float = 1.0e-10,
@@ -564,13 +585,12 @@ def k_expectation_series(
     time argument tracks the field's clock, so the windowed expectation
     is conserved to roundoff.
     """
-    phys = _grid_phys(field.grid, phys)
     w = _default_window(w)
     taus = [float(t) for t in taus]
     values = []
     for tau in taus:
-        evolved = free_evolve(field, tau, phys)
-        kf = apply_generator(GeneratorKind.k(evolved.time), evolved, phys)
+        evolved = free_evolve(field, tau)
+        kf = apply_generator(GeneratorKind.k(evolved.time), evolved)
         norm2 = windowed_norm(evolved, w) ** 2
         if norm2 == 0.0:
             raise GeometryError("no weight inside the window")
@@ -581,18 +601,18 @@ def k_expectation_series(
         metrics={"k_values": _floats(values), "k_initial": values[0],
                  "drift": drift},
         config={"taus": _floats(taus), "field_time": field.time,
-                "grid": _grid_cfg(field.grid), "phys": _phys_cfg(phys),
+                "grid": _grid_cfg(field.grid), "phys": _phys_cfg(field.grid.phys),
                 "window": _win_cfg(w)},
         tolerances={"drift": tol},
         passed=bool(drift <= tol),
     )
 
 
+@_experiment({"residual": "tol"}, v="num", tau="num", window="window")
 def boost_covariance_residual(
     field: WaveField,
     v: float,
     tau: float,
-    phys: PhysParams | None = None,
     w: Window | None = None,
     *,
     tol: float = 1.0e-8,
@@ -604,11 +624,10 @@ def boost_covariance_residual(
     K(t0).  The windowed residual between the two orderings is the
     covariance defect.
     """
-    phys = _grid_phys(field.grid, phys)
     w = _default_window(w)
     v, tau = float(v), float(tau)
-    a = boost(free_evolve(field, tau, phys), BoostParams(v, field.time + tau), phys)
-    b = free_evolve(boost(field, BoostParams(v, field.time), phys), tau, phys)
+    a = boost(free_evolve(field, tau), BoostParams(v, field.time + tau))
+    b = free_evolve(boost(field, BoostParams(v, field.time)), tau)
     na = windowed_norm(a, w)
     if na == 0.0:
         raise GeometryError("no weight inside the window")
@@ -619,18 +638,20 @@ def boost_covariance_residual(
         name="boost_covariance_residual",
         metrics={"residual": float(resid), "time_skew": float(time_skew)},
         config={"v": v, "tau": tau, "field_time": field.time,
-                "grid": _grid_cfg(field.grid), "phys": _phys_cfg(phys),
+                "grid": _grid_cfg(field.grid), "phys": _phys_cfg(field.grid.phys),
                 "window": _win_cfg(w)},
         tolerances={"residual": tol},
         passed=bool(resid <= tol and time_skew == 0.0),
     )
 
 
+@_experiment({"coeff_rel_err": "tol_coeff",
+              "distortion_max": "tol_distortion"},
+             B="num", t_list="numlist", window="window", band="band")
 def berry_balazs_trajectory(
     B: float,
     t_list,
     grid: Grid,
-    phys: PhysParams | None = None,
     w: Window | None = None,
     band: BandTaper | str | None = "auto",
     *,
@@ -646,15 +667,14 @@ def berry_balazs_trajectory(
     shifted initial density stays at the apodization floor, and its own
     peak trajectory must agree with the raw profile's.
     """
-    phys = _grid_phys(grid, phys)
     w = _default_window(w)
     B = float(B)
-    hbar, m = phys.hbar, phys.m
+    hbar, m = grid.phys.hbar, grid.phys.m
     t_list = sorted(float(t) for t in t_list)
     if len(t_list) < 3:
         raise AirylabError("need at least three sample times for the fit")
-    raw = berry_balazs_initial(B, grid, phys)
-    peaks = [_parabolic_peak(to_rep(free_evolve(raw, t, phys), Rep.POSITION))
+    raw = berry_balazs_initial(B, grid)
+    peaks = [_parabolic_peak(to_rep(free_evolve(raw, t), Rep.POSITION))
              for t in t_list]
     ts = np.asarray(t_list)
     design = np.stack([np.ones_like(ts), ts ** 2], axis=1)
@@ -664,15 +684,15 @@ def berry_balazs_trajectory(
     coeff_rel_err = abs(coeff / coeff_expected - 1.0)
 
     c = CoherentParams(eps=-2.0 * m * m / B ** 3, xi=0.0, t=0.0)
-    band_r = _plan_band(c, [0.0, ts.max()], grid, phys, band)
-    mom0 = perelomov_state(c, Rep.MOMENTUM, grid, phys, band=band_r)
+    band_r = _plan_band(c, [0.0, ts.max()], grid, band)
+    mom0 = perelomov_state(c, Rep.MOMENTUM, grid, band=band_r)
     distortions = []
     fam_peaks = []
     for t in t_list:
         shift = -t * t / (2.0 * c.eps)
-        distortions.append(density_shift_distortion(mom0, t, shift, phys, w))
+        distortions.append(density_shift_distortion(mom0, t, shift, w))
         fam_peaks.append(_parabolic_peak(
-            to_rep(free_evolve(mom0, t, phys), Rep.POSITION)))
+            to_rep(free_evolve(mom0, t), Rep.POSITION)))
     theta_f, *_ = np.linalg.lstsq(design, np.asarray(fam_peaks), rcond=None)
     family_coeff_rel_diff = abs(float(theta_f[1]) / coeff_expected - 1.0)
     distortion_max = float(np.max(distortions))
@@ -690,7 +710,7 @@ def berry_balazs_trajectory(
                  "distortion_max": distortion_max,
                  "family_coeff_rel_diff": float(family_coeff_rel_diff)},
         config={"B": B, "t_list": _floats(ts), "grid": _grid_cfg(grid),
-                "phys": _phys_cfg(phys), "window": _win_cfg(w),
+                "phys": _phys_cfg(grid.phys), "window": _win_cfg(w),
                 "band": _band_cfg(band_r), "family_eps": c.eps},
         tolerances={"coeff_rel_err": tol_coeff,
                     "distortion_max": tol_distortion},
@@ -698,10 +718,10 @@ def berry_balazs_trajectory(
     )
 
 
+@_experiment({"sup_rel": "tol"}, window="window", band="band")
 def representation_crosscheck(
     c: CoherentParams,
     grid: Grid,
-    phys: PhysParams | None = None,
     w: Window | None = None,
     band: BandTaper | str | None = "auto",
     *,
@@ -713,11 +733,10 @@ def representation_crosscheck(
     closed form, bounds the apodization plus transform error where the
     two constructions must agree.
     """
-    phys = _grid_phys(grid, phys)
     w = _default_window(w)
-    closed = perelomov_state(c, Rep.POSITION, grid, phys)
-    band_r = _plan_band(c, [c.t], grid, phys, band)
-    via_fft = _family_position(c, grid, phys, band_r)
+    closed = perelomov_state(c, Rep.POSITION, grid)
+    band_r = _plan_band(c, [c.t], grid, band)
+    via_fft = _family_position(c, grid, band_r)
     ww = window_weights(grid, w, Rep.POSITION)
     diff = ww * np.abs(closed.amplitudes - via_fft.amplitudes)
     scale = float(np.max(ww * np.abs(closed.amplitudes)))
@@ -730,19 +749,20 @@ def representation_crosscheck(
         name="representation_crosscheck",
         metrics={"sup_rel": sup_rel, "l2_rel": float(l2_rel)},
         config={"params": _c_cfg(c), "grid": _grid_cfg(grid),
-                "phys": _phys_cfg(phys), "window": _win_cfg(w),
+                "phys": _phys_cfg(grid.phys), "window": _win_cfg(w),
                 "band": _band_cfg(band_r)},
         tolerances={"sup_rel": tol},
         passed=bool(sup_rel <= tol),
     )
 
 
+@_experiment({}, eps_seq="numlist", xi="num", t="num", window="window",
+             band="band")
 def eps_to_zero_limit(
     eps_seq,
     xi: float,
     t: float,
     grid: Grid,
-    phys: PhysParams | None = None,
     w: Window | None = None,
     band: BandTaper | str | None = "auto",
 ) -> ExperimentReport:
@@ -752,20 +772,19 @@ def eps_to_zero_limit(
     eps = 0 closed form (chirp times Fresnel constant) for a decreasing
     eps sequence; the trend, not a rate, is the assertion.
     """
-    phys = _grid_phys(grid, phys)
     w = _default_window(w)
     if t == 0.0:
         raise GeometryError("the eps -> 0 closed form needs t != 0")
     eps_seq = [float(e) for e in eps_seq]
     if not all(a > b > 0.0 for a, b in zip(eps_seq, eps_seq[1:])):
         raise AirylabError("eps_seq must be positive and strictly decreasing")
-    ref = perelomov_state(CoherentParams(0.0, xi, t), Rep.POSITION, grid, phys)
+    ref = perelomov_state(CoherentParams(0.0, xi, t), Rep.POSITION, grid)
     ref_norm = windowed_norm(ref, w)
     errors = []
     for e in eps_seq:
         c = CoherentParams(e, xi, t)
-        band_r = _plan_band(c, [t], grid, phys, band)
-        psi = _family_position(c, grid, phys, band_r)
+        band_r = _plan_band(c, [t], grid, band)
+        psi = _family_position(c, grid, band_r)
         diff = psi.with_amplitudes(psi.amplitudes - ref.amplitudes)
         errors.append(windowed_norm(diff, w) / ref_norm)
     monotone = all(a > b for a, b in zip(errors, errors[1:]))
@@ -774,17 +793,17 @@ def eps_to_zero_limit(
         metrics={"errors": _floats(errors), "eps_seq": _floats(eps_seq),
                  "monotone_decreasing": bool(monotone)},
         config={"xi": xi, "t": t, "grid": _grid_cfg(grid),
-                "phys": _phys_cfg(phys), "window": _win_cfg(w)},
+                "phys": _phys_cfg(grid.phys), "window": _win_cfg(w)},
         tolerances={"monotone_decreasing": True},
         passed=bool(monotone),
     )
 
 
+@_experiment({}, eps_seq="numlist", tau="num", window="window", band="band")
 def eps_to_infinity_fidelity(
     eps_seq,
     tau: float,
     grid: Grid,
-    phys: PhysParams | None = None,
     w: Window | None = None,
     band: BandTaper | str | None = "auto",
 ) -> ExperimentReport:
@@ -794,7 +813,6 @@ def eps_to_infinity_fidelity(
     for an increasing eps sequence; the decoherence phase shrinks as
     m tau/eps, so the fidelity must increase monotonically toward 1.
     """
-    phys = _grid_phys(grid, phys)
     w = _default_window(w)
     tau = float(tau)
     eps_seq = [float(e) for e in eps_seq]
@@ -803,10 +821,10 @@ def eps_to_infinity_fidelity(
     fidelities = []
     for e in eps_seq:
         c = CoherentParams(e, 0.0, 0.0)
-        band_r = _plan_band(c, [0.0, tau], grid, phys, band)
-        mom0 = perelomov_state(c, Rep.MOMENTUM, grid, phys, band=band_r)
+        band_r = _plan_band(c, [0.0, tau], grid, band)
+        mom0 = perelomov_state(c, Rep.MOMENTUM, grid, band=band_r)
         psi0 = to_rep(mom0, Rep.POSITION)
-        psi_tau = to_rep(free_evolve(mom0, tau, phys), Rep.POSITION)
+        psi_tau = to_rep(free_evolve(mom0, tau), Rep.POSITION)
         ip = inner_product(psi0, psi_tau, w)
         fidelities.append(abs(ip) / (windowed_norm(psi0, w)
                                      * windowed_norm(psi_tau, w)))
@@ -815,16 +833,16 @@ def eps_to_infinity_fidelity(
         name="eps_to_infinity_fidelity",
         metrics={"fidelities": _floats(fidelities), "eps_seq": _floats(eps_seq),
                  "monotone_increasing": bool(monotone)},
-        config={"tau": tau, "grid": _grid_cfg(grid), "phys": _phys_cfg(phys),
-                "window": _win_cfg(w)},
+        config={"tau": tau, "grid": _grid_cfg(grid),
+                "phys": _phys_cfg(grid.phys), "window": _win_cfg(w)},
         tolerances={"monotone_increasing": True},
         passed=bool(monotone),
     )
 
 
+@_experiment({"max_rel_err": "tol"}, window="window", probe="probe")
 def commutator_table(
     grid: Grid,
-    phys: PhysParams | None = None,
     w: Window | None = None,
     probe: GaussianParams | None = None,
     *,
@@ -837,20 +855,19 @@ def commutator_table(
     [x,p^3/6] = i hbar p^2/2, and the three vanishing brackets) in the
     windowed relative norm.
     """
-    phys = _grid_phys(grid, phys)
     w = _default_window(w)
     probe = probe if probe is not None else GaussianParams(0.0, 0.7, 1.5)
-    psi = gaussian_packet(probe, grid, phys)
-    hbar, m = phys.hbar, phys.m
+    psi = gaussian_packet(probe, grid)
+    hbar, m = grid.phys.hbar, grid.phys.m
 
     def X(f):
-        return apply_generator(GeneratorKind.x(), f, phys)
+        return apply_generator(GeneratorKind.x(), f)
 
     def P(f):
-        return apply_generator(GeneratorKind.p(), f, phys)
+        return apply_generator(GeneratorKind.p(), f)
 
     def H(f):
-        return apply_generator(GeneratorKind.h(), f, phys)
+        return apply_generator(GeneratorKind.h(), f)
 
     def C3(f):
         g = P(P(P(f)))
@@ -890,7 +907,7 @@ def commutator_table(
     return ExperimentReport(
         name="commutator_table",
         metrics=metrics,
-        config={"grid": _grid_cfg(grid), "phys": _phys_cfg(phys),
+        config={"grid": _grid_cfg(grid), "phys": _phys_cfg(grid.phys),
                 "window": _win_cfg(w),
                 "probe": {"x0": probe.x0, "p0": probe.p0, "sigma": probe.sigma}},
         tolerances={"max_rel_err": tol},

@@ -5,8 +5,7 @@ applications are exact for the grid-represented field: no Trotter
 splitting, no finite differences, no dense matrices.  Unitaries return
 a field in the same representation they received.
 
-hbar comes from the field's grid; a phys argument only adds the mass and
-must carry the same hbar (GridError otherwise).
+hbar and the mass m come from the field's grid (`grid.phys`).
 
 Time stamps: free_evolve advances the field's time; translate, boost,
 the displacement unitary, and the Zassenhaus product preserve it (they
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AirylabError, PhysParams, Rep, WaveField, _grid_phys, to_rep
+from .core import AirylabError, Rep, WaveField, to_rep
 from .states import CoherentParams
 
 _TAGS = ("x", "p", "h", "k")
@@ -74,15 +73,13 @@ class BoostParams:
             raise AirylabError("BoostParams require finite v and t")
 
 
-def apply_generator(
-    kind: GeneratorKind, field: WaveField, phys: PhysParams | None = None
-) -> WaveField:
+def apply_generator(kind: GeneratorKind, field: WaveField) -> WaveField:
     """Apply one generator, diagonal in its own representation.
 
     The result comes back in the representation of the input field.
     K(t) = t p - m x combines the two diagonal applications.
     """
-    phys = _grid_phys(field.grid, phys)
+    m = field.grid.phys.m
     if kind.tag == "x":
         pos = to_rep(field, Rep.POSITION)
         out = pos.with_amplitudes(field.grid.x * pos.amplitudes)
@@ -94,12 +91,11 @@ def apply_generator(
     if kind.tag == "h":
         mom = to_rep(field, Rep.MOMENTUM)
         out = mom.with_amplitudes(
-            field.grid.p ** 2 / (2.0 * phys.m) * mom.amplitudes)
+            field.grid.p ** 2 / (2.0 * m) * mom.amplitudes)
         return to_rep(out, field.rep)
-    pa = apply_generator(GeneratorKind.p(), field, phys)
-    xa = apply_generator(GeneratorKind.x(), field, phys)
-    return field.with_amplitudes(
-        kind.t * pa.amplitudes - phys.m * xa.amplitudes)
+    pa = apply_generator(GeneratorKind.p(), field)
+    xa = apply_generator(GeneratorKind.x(), field)
+    return field.with_amplitudes(kind.t * pa.amplitudes - m * xa.amplitudes)
 
 
 def translate(field: WaveField, a: float) -> WaveField:
@@ -113,16 +109,13 @@ def translate(field: WaveField, a: float) -> WaveField:
     return to_rep(out, field.rep)
 
 
-def boost(
-    field: WaveField, b: BoostParams, phys: PhysParams | None = None
-) -> WaveField:
+def boost(field: WaveField, b: BoostParams) -> WaveField:
     """e^(i v K(t)/hbar) in its exact factorized form.
 
     Global phase e^(-i m v^2 t / 2 hbar), then the momentum kick
     e^(-i v m x/hbar), applied to psi(x + v t).
     """
-    phys = _grid_phys(field.grid, phys)
-    hbar, m = phys.hbar, phys.m
+    hbar, m = field.grid.phys.hbar, field.grid.phys.m
     shifted = to_rep(translate(field, -b.v * b.t), Rep.POSITION)
     amps = (np.exp(-1j * m * b.v ** 2 * b.t / (2.0 * hbar))
             * np.exp(-1j * b.v * m * field.grid.x / hbar)
@@ -130,31 +123,25 @@ def boost(
     return to_rep(shifted.with_amplitudes(amps), field.rep)
 
 
-def free_evolve(
-    field: WaveField, tau: float, phys: PhysParams | None = None
-) -> WaveField:
+def free_evolve(field: WaveField, tau: float) -> WaveField:
     """Exact free propagator e^(-i H tau/hbar); advances field.time by tau."""
-    phys = _grid_phys(field.grid, phys)
     tau = float(tau)
     if not np.isfinite(tau):
         raise AirylabError("evolution time must be finite")
+    hbar, m = field.grid.phys.hbar, field.grid.phys.m
     mom = to_rep(field, Rep.MOMENTUM)
-    amps = np.exp(-1j * field.grid.p ** 2 * tau
-                  / (2.0 * phys.m * field.grid.hbar)) * mom.amplitudes
+    amps = np.exp(-1j * field.grid.p ** 2 * tau / (2.0 * m * hbar)) * mom.amplitudes
     out = WaveField(grid=mom.grid, rep=Rep.MOMENTUM, amplitudes=amps,
                     time=field.time + tau)
     return to_rep(out, field.rep)
 
 
-def apply_displacement_U(
-    field: WaveField, c: CoherentParams, phys: PhysParams | None = None
-) -> WaveField:
+def apply_displacement_U(field: WaveField, c: CoherentParams) -> WaveField:
     """Coherent-family displacement, a single momentum-diagonal phase:
 
     U(eps, t, xi) = exp((i/hbar)(-eps p^3/6m^2 - t p^2/2m + xi p/m)).
     """
-    phys = _grid_phys(field.grid, phys)
-    hbar, m = phys.hbar, phys.m
+    hbar, m = field.grid.phys.hbar, field.grid.phys.m
     mom = to_rep(field, Rep.MOMENTUM)
     p = field.grid.p
     phase = np.exp(1j * (-c.eps * p ** 3 / (6.0 * m * m)
@@ -163,25 +150,19 @@ def apply_displacement_U(
     return to_rep(mom.with_amplitudes(phase * mom.amplitudes), field.rep)
 
 
-def zassenhaus_rhs(
-    field: WaveField,
-    v: float,
-    eps: float,
-    t: float,
-    phys: PhysParams | None = None,
-) -> WaveField:
+def zassenhaus_rhs(field: WaveField, v: float, eps: float, t: float) -> WaveField:
     """Disentangled product e^(-i m eps v^3/3 hbar) e^(i v eps H/hbar)
     e^(i v K(t)/hbar) e^(i v^2 eps p/2 hbar), applied right to left.
 
     The factorization of e^(i v (K + eps H)/hbar) closes at these four
     factors because the algebra's deeper nested brackets vanish.
     """
-    phys = _grid_phys(field.grid, phys)
     v, eps, t = float(v), float(eps), float(t)
     if not (np.isfinite(v) and np.isfinite(eps) and np.isfinite(t)):
         raise AirylabError("zassenhaus_rhs requires finite v, eps, t")
     out = translate(field, -v * v * eps / 2.0)
-    out = boost(out, BoostParams(v=v, t=t), phys)
-    out = free_evolve(out, -v * eps, phys)
+    out = boost(out, BoostParams(v=v, t=t))
+    out = free_evolve(out, -v * eps)
+    phys = field.grid.phys
     amps = np.exp(-1j * phys.m * eps * v ** 3 / (3.0 * phys.hbar)) * out.amplitudes
     return WaveField(grid=out.grid, rep=out.rep, amplitudes=amps, time=field.time)

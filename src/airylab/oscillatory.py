@@ -165,17 +165,20 @@ def _damped_positive_c3(c3: float, c2: float, c1: float, eta: float) -> tuple[co
 
 
 def _damped_quadratic(c2: float, c1: float, eta: float) -> tuple[complex, float]:
-    """c3 = 0, c2 > 0: rotate the whole line to p = s e^(i pi/4), where the
-    quadratic phase becomes a real Gaussian decay."""
-
-    w = np.exp(1j * np.pi / 4)
-
-    def f(s):
-        p = w * s
-        return np.exp(1j * (c2 * p * p + c1 * p) - eta * p * p) * w
-
-    val, err = _quad_c(f, -np.inf, np.inf)
-    return val, err
+    """c3 = 0, c2 > 0: with a = c2 + i eta the integrand is exp(i(a p^2 + c1 p)),
+    and on the line p = -c1/2a + s e^(i pi/4) through its stationary point
+    it is e^(-a s^2) e^(-i c1^2/4a) e^(i pi/4).  The even Gaussian is
+    integrated over s >= 0, cut where it has fallen by e^-_CUT."""
+    span = math.sqrt(_CUT / c2)
+    re, e_re = _quad_real(
+        lambda s: math.exp(-c2 * s * s) * math.cos(eta * s * s), 0.0, span)
+    im, e_im = _quad_real(
+        lambda s: -math.exp(-c2 * s * s) * math.sin(eta * s * s), 0.0, span)
+    phase = -1j * c1 * c1 / (4.0 * complex(c2, eta))
+    value = 2.0 * complex(re, im) * np.exp(phase + 0.25j * math.pi)
+    tail = math.exp(-_CUT) / (2.0 * c2 * span)
+    rounding = 4.0 * _EPS * (abs(phase) + _CUT) * abs(value)
+    return value, 2.0 * (e_re + e_im + tail) * math.exp(phase.real) + rounding
 
 
 def _damped_linear(c1: float, eta: float) -> tuple[complex, float]:
@@ -209,7 +212,8 @@ def cubic_phase_integral(c3: float, c2: float, c1: float, damping: float,
 
     damping > 0 returns the damped value itself.  damping = 0 returns the
     undamped integral, on the steepest-descent contour when c3 != 0 and on
-    the rotated Fresnel line when c3 = 0; it requires c3 != 0 or c2 != 0
+    the Fresnel line through the stationary point when c3 = 0 (the damped
+    c3 = 0 case uses the same line); it requires c3 != 0 or c2 != 0
     (a bare linear phase has no eta -> 0 limit).
     Raises QuadratureError, carrying the achieved estimate, when the error
     estimate exceeds tol * max(1, |value|) or the value is not finite.

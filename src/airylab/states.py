@@ -29,7 +29,6 @@ from .core import (
     Rep,
     ResolutionError,
     WaveField,
-    _grid_phys,
 )
 
 
@@ -121,7 +120,6 @@ def content_map(c: CoherentParams, phys: PhysParams, p: np.ndarray) -> np.ndarra
 def fit_band(
     c: CoherentParams,
     grid: Grid,
-    phys: PhysParams | None = None,
     *,
     x_margin: float | None = None,
     p_margin: float | None = None,
@@ -133,7 +131,7 @@ def fit_band(
     margins (the state's content cannot be represented on this grid
     without folding).
     """
-    phys = _grid_phys(grid, phys)
+    phys = grid.phys
     if c.eps == 0.0 and c.t == 0.0:
         raise GeometryError(
             "eps = 0, t = 0 labels a grid delta; no band taper applies")
@@ -185,44 +183,38 @@ def fit_band(
     return BandTaper(p_plateau=plateau, p_support=support)
 
 
-def gaussian_packet(
-    g: GaussianParams, grid: Grid, phys: PhysParams | None = None
-) -> WaveField:
+def gaussian_packet(g: GaussianParams, grid: Grid) -> WaveField:
     """Unit-normalized Gaussian e^(i p0 x / hbar) e^(-(x-x0)^2 / 4 sigma^2).
 
     The packet must be resolvable (sigma >= 4 dx) and comfortably inside
     both the box and the momentum band, so that grid moments reproduce
     the analytic ones.
     """
-    phys = _grid_phys(grid, phys)
     if g.sigma < 4.0 * grid.dx:
         raise ResolutionError(
             f"sigma = {g.sigma:g} under-resolved: needs >= 4 dx = {4.0 * grid.dx:g}")
     if g.x0 - 6.0 * g.sigma < grid.x_min or g.x0 + 6.0 * g.sigma > grid.x_max:
         raise GridError(
             f"Gaussian support [x0 +- 6 sigma] leaves the box for x0 = {g.x0:g}")
-    p_width = phys.hbar / (2.0 * g.sigma)
+    p_width = grid.hbar / (2.0 * g.sigma)
     if abs(g.p0) + 6.0 * p_width > grid.p_nyquist:
         raise ResolutionError(
             f"momentum content |p0| + 6 hbar/(2 sigma) = "
             f"{abs(g.p0) + 6.0 * p_width:g} exceeds the Nyquist band "
             f"{grid.p_nyquist:g}")
     x = grid.x
-    amps = np.exp(1j * g.p0 * x / phys.hbar) * np.exp(
+    amps = np.exp(1j * g.p0 * x / grid.hbar) * np.exp(
         -((x - g.x0) ** 2) / (4.0 * g.sigma ** 2))
     amps /= np.sqrt(np.sum(np.abs(amps) ** 2) * grid.dx)
     return WaveField(grid=grid, rep=Rep.POSITION, amplitudes=amps, time=0.0)
 
 
-def xi_eigenstate_x(
-    xi: float, t: float, grid: Grid, phys: PhysParams | None = None
-) -> WaveField:
+def xi_eigenstate_x(xi: float, t: float, grid: Grid) -> WaveField:
     """Boost eigenstate in position form, delta-normalized in xi.
 
     psi(x) = (2 pi hbar |t|)^(-1/2) e^((i/hbar)(m x^2 / 2t + xi x / t)),
     the eigenfunction of K(t) = t p - m x with eigenvalue xi.
     """
-    phys = _grid_phys(grid, phys)
     t = float(t)
     xi = float(xi)
     if not (np.isfinite(t) and np.isfinite(xi)):
@@ -231,7 +223,7 @@ def xi_eigenstate_x(
         raise AirylabError(
             "t = 0 makes the chirp prefactor singular; build "
             "perelomov_state with eps = 0 in the momentum representation instead")
-    hbar, m = phys.hbar, phys.m
+    hbar, m = grid.phys.hbar, grid.phys.m
     x = grid.x
     amps = np.exp(1j * (m * x * x / (2.0 * t) + xi * x / t) / hbar) / np.sqrt(
         TWO_PI * hbar * abs(t))
@@ -243,7 +235,6 @@ def perelomov_state(
     c: CoherentParams,
     rep: Rep,
     grid: Grid,
-    phys: PhysParams | None = None,
     band: BandTaper | str | None = "auto",
 ) -> WaveField:
     """Coherent family member |eps, xi; t> in either representation.
@@ -261,8 +252,7 @@ def perelomov_state(
     degenerates to the boost eigenstate times the Fresnel constant
     e^(-i sign(t) pi/4) e^(i xi^2 / 2 m t hbar).
     """
-    phys = _grid_phys(grid, phys)
-    hbar, m = phys.hbar, phys.m
+    hbar, m = grid.phys.hbar, grid.phys.m
 
     if rep == Rep.MOMENTUM:
         p = grid.p
@@ -276,7 +266,7 @@ def perelomov_state(
             amps = norm * phase
         else:
             if band == "auto":
-                band = fit_band(c, grid, phys)
+                band = fit_band(c, grid)
             if band is None:
                 amps = norm * phase
             elif isinstance(band, BandTaper):
@@ -301,7 +291,7 @@ def perelomov_state(
         return WaveField(grid=grid, rep=Rep.POSITION, amplitudes=amps, time=c.t)
     cube = np.sign(c.eps) * (2.0 * hbar * m * m / abs(c.eps)) ** (1.0 / 3.0)
     arg = -(cube / hbar) * (x + c.xi / m + c.t * c.t / (2.0 * c.eps))
-    _check_airy_resolution(c, grid, phys, arg)
+    _check_airy_resolution(c, grid, arg)
     phase = np.exp(-1j * ((c.xi + m * x) * c.t / c.eps
                           + m * c.t ** 3 / (3.0 * c.eps ** 2)) / hbar)
     amps = (abs(cube) / (hbar * np.sqrt(m))) * phase * ai_values(arg)
@@ -309,9 +299,9 @@ def perelomov_state(
                      time=c.t)
 
 
-def _check_airy_resolution(c, grid, phys, arg):
+def _check_airy_resolution(c, grid, arg):
     """dx must stay under a quarter of the fastest local wavelength."""
-    hbar, m = phys.hbar, phys.m
+    hbar, m = grid.phys.hbar, grid.phys.m
     cube = np.sign(c.eps) * (2.0 * hbar * m * m / abs(c.eps)) ** (1.0 / 3.0)
     z_osc = max(0.0, float(-np.min(arg)))
     k_airy = (abs(cube) / hbar) * np.sqrt(z_osc)
@@ -323,20 +313,17 @@ def _check_airy_resolution(c, grid, phys, arg):
             f"{np.pi / (2.0 * k):g} at the box edge")
 
 
-def berry_balazs_initial(
-    B: float, grid: Grid, phys: PhysParams | None = None
-) -> WaveField:
+def berry_balazs_initial(B: float, grid: Grid) -> WaveField:
     """Non-spreading accelerating profile psi(x, 0) = Ai(B x / hbar^(2/3)).
 
     Real-valued, non-normalizable; B of either sign (the oscillatory
     tail points along -sign(B) x).  The grid must resolve the fastest
     oscillation inside the box.
     """
-    phys = _grid_phys(grid, phys)
     B = float(B)
     if not np.isfinite(B) or B == 0.0:
         raise AirylabError(f"B must be finite and nonzero, got {B!r}")
-    hbar = phys.hbar
+    hbar = grid.hbar
     scale = abs(B) / hbar ** (2.0 / 3.0)
     x_edge = grid.x_min if B > 0 else grid.x_max
     z_edge = scale * abs(x_edge)

@@ -2,11 +2,26 @@
 
 import csv
 import json
+import os
+import re
 
 import numpy as np
 import pytest
 
-from airylab import AirylabError, Rep, WaveField, make_grid
+from airylab import (
+    AirylabError,
+    BandTaper,
+    CoherentParams,
+    GaussianParams,
+    Rep,
+    WaveField,
+    Window,
+    experiments,
+    gaussian_packet,
+    make_grid,
+    perelomov_state,
+    to_rep,
+)
 from airylab.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -120,6 +135,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG and artifacts == []
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("name,params,state", [
+        ("eigenrelation_residual", {}, None),
+        ("acceleration_fit", {"taus": [0.0, 1.0, 2.0]}, {"kind": "gaussian"}),
+        ("k_expectation_series", {"taus": [0.0, 1.0]}, None),
+    ], ids=["no_state", "wrong_kind", "field_without_state"])
+    def test_state_requirement_exits_2(self, tmp_path, capsys, name, params,
+                                       state):
+        # the state an experiment needs is read from its signature and
+        # checked before any computation
+        data = json.loads(json.dumps(BASE_VERIFY))
+        data["experiment"] = {"name": name, "parameters": params}
+        del data["state"]
+        if state is not None:
+            data["state"] = state
+        code, artifacts = run_config(write_config(tmp_path, data),
+                                     str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG and artifacts == []
+        assert err.startswith("error: ") and "requires a state" in err
+
+    def test_overlap_scan_uses_config_phys(self, tmp_path):
+        data = {"command": "Verify",
+                "grid": {"n": 256, "x_min": -8.0, "x_max": 8.0},
+                "phys": {"hbar": 2.0, "m": 3.0},
+                "experiment": {"name": "overlap_scan",
+                               "parameters": {"eps_list": [1.0, 2.0, 4.0]}}}
+        code, artifacts = run_config(write_config(tmp_path, data),
+                                     str(tmp_path / "out"))
+        report = json.load(open(artifacts[0]))["reports"][0]
+        assert code == EXIT_OK
+        assert report["config"]["phys"] == {"hbar": 2.0, "m": 3.0}
+        ai0 = 0.355028053887817239  # Ai(0)
+        expected = (2.0 * 2.0 * 3.0 ** 2) ** (1.0 / 3.0) * ai0 / (2.0 * 3.0)
+        assert report["metrics"]["prefactor_expected"] == pytest.approx(
+            expected, rel=1e-15)
 
     def test_domain_error_during_execution(self, tmp_path):
         # validation passes, but the state cannot be resolved on the grid
@@ -256,3 +307,133 @@ class TestEmitSvg:
         with pytest.raises(AirylabError, match="equal-length"):
             emit_svg_plot([("bad", np.arange(3), np.arange(4))],
                           str(tmp_path / "bad.svg"))
+
+
+def _grid(n, lo, hi):
+    return {"n": n, "x_min": lo, "x_max": hi}
+
+
+_PER = {"kind": "perelomov", "eps": 1.0, "xi": 0.5, "t": 0.2}
+_GAUSS = {"kind": "gaussian", "x0": 0.5, "p0": 0.3, "sigma": 1.5}
+
+
+def _rect(f):
+    return {"kind": "rect", "interior_fraction": f}
+
+
+# name -> (grid, state, parameters, tolerances, the same run called directly)
+PARITY = {
+    "eigenrelation_residual": (
+        _grid(2048, -64.0, 64.0), _PER,
+        {"window": _rect(0.25), "xi_probe": 0.5}, {"residual": 1e-5},
+        lambda g: experiments.eigenrelation_residual(
+            CoherentParams(1.0, 0.5, 0.2), g, w=Window.rect(0.25),
+            xi_probe=0.5, tol=1e-5)),
+    "acceleration_fit": (
+        _grid(2048, -200.0, 56.0), _PER,
+        {"taus": [0.0, 1.0, 2.0, 3.0], "band": "auto"}, {"rel_err": 0.02},
+        lambda g: experiments.acceleration_fit(
+            CoherentParams(1.0, 0.5, 0.2), [0.0, 1.0, 2.0, 3.0], g,
+            band="auto", tol_rel=0.02)),
+    "shape_distortion": (
+        _grid(2048, -64.0, 64.0), _PER,
+        {"tau": 0.5, "window": _rect(0.5),
+         "band": {"p_plateau": 2.0, "p_support": 3.0}}, {},
+        lambda g: experiments.shape_distortion(
+            CoherentParams(1.0, 0.5, 0.2), 0.5, g, w=Window.rect(0.5),
+            band=BandTaper(2.0, 3.0))),
+    "evolution_equivalence": (
+        _grid(2048, -64.0, 64.0), dict(_PER, t=0.0),
+        {"tau": 0.3, "window": {"kind": "tukey", "interior_fraction": 0.5},
+         "drop_cubic_phase": True},
+        {"fidelity_deficit": 1e-6, "phase_discrepancy": 1e-3},
+        lambda g: experiments.evolution_equivalence(
+            CoherentParams(1.0, 0.5, 0.0), 0.3, g, w=Window.tukey(0.5),
+            drop_cubic_phase=True, tol_fidelity=1e-6, tol_phase=1e-3)),
+    "overlap_scan": (
+        _grid(256, -8.0, 8.0), None,
+        {"eps_list": [1.0, 2.0, 4.0], "xi": 0.3, "t": 0.1, "eps_ref": 0.0,
+         "quad_tol": 1e-8, "xi_alt_offset": 2.0}, {"exponent_err": 0.05},
+        lambda g: experiments.overlap_scan(
+            [1.0, 2.0, 4.0], xi=0.3, t=0.1, eps_ref=0.0, quad_tol=1e-8,
+            xi_alt_offset=2.0, tol_exponent=0.05)),
+    "basis_orthonormality": (
+        _grid(1024, -32.0, 32.0), None,
+        {"eps": 1.0, "t": 0.2, "n_states": 32, "window_fraction": 0.5,
+         "probe": {"sigma": 1.5}, "sum_taper_frac": 0.2},
+        {"reconstruction_err": 0.1},
+        lambda g: experiments.basis_orthonormality(
+            1.0, 0.2, g, n_states=32, window_fraction=0.5,
+            probe=GaussianParams(sigma=1.5), sum_taper_frac=0.2,
+            tol_recon=0.1)),
+    "k_expectation_series": (
+        _grid(1024, -32.0, 32.0), _GAUSS,
+        {"taus": [0.0, 0.5], "window": _rect(0.9)}, {"drift": 1e-9},
+        lambda g: experiments.k_expectation_series(
+            gaussian_packet(GaussianParams(0.5, 0.3, 1.5), g), [0.0, 0.5],
+            w=Window.rect(0.9), tol=1e-9)),
+    "boost_covariance_residual": (
+        _grid(2048, -64.0, 64.0), _PER,
+        {"v": 0.8, "tau": 0.7, "window": _rect(0.5)}, {"residual": 1e-7},
+        lambda g: experiments.boost_covariance_residual(
+            to_rep(perelomov_state(CoherentParams(1.0, 0.5, 0.2),
+                                   Rep.MOMENTUM, g), Rep.POSITION),
+            0.8, 0.7, w=Window.rect(0.5), tol=1e-7)),
+    "berry_balazs_trajectory": (
+        _grid(2048, -32.0, 32.0), None,
+        {"B": 1.5, "t_list": [0.0, 0.5, 1.0], "window": _rect(0.1)},
+        {"coeff_rel_err": 0.05},
+        lambda g: experiments.berry_balazs_trajectory(
+            1.5, [0.0, 0.5, 1.0], g, w=Window.rect(0.1), tol_coeff=0.05)),
+    "representation_crosscheck": (
+        _grid(2048, -64.0, 64.0), _PER, {"window": _rect(0.5)}, {},
+        lambda g: experiments.representation_crosscheck(
+            CoherentParams(1.0, 0.5, 0.2), g, w=Window.rect(0.5))),
+    "eps_to_zero_limit": (
+        _grid(2048, -64.0, 64.0), None,
+        {"eps_seq": [0.5, 0.2], "xi": 0.0, "t": 1.0, "window": _rect(0.5)},
+        {},
+        lambda g: experiments.eps_to_zero_limit(
+            [0.5, 0.2], 0.0, 1.0, g, w=Window.rect(0.5))),
+    "eps_to_infinity_fidelity": (
+        _grid(2048, -64.0, 64.0), None,
+        {"eps_seq": [1.0, 10.0], "tau": 0.5, "window": _rect(0.5),
+         "band": "auto"}, {},
+        lambda g: experiments.eps_to_infinity_fidelity(
+            [1.0, 10.0], 0.5, g, w=Window.rect(0.5), band="auto")),
+    "commutator_table": (
+        _grid(1024, -32.0, 32.0), None,
+        {"window": _rect(0.5), "probe": {"x0": 0.0, "p0": 0.5, "sigma": 1.5}},
+        {"max_rel_err": 1e-6},
+        lambda g: experiments.commutator_table(
+            g, w=Window.rect(0.5), probe=GaussianParams(0.0, 0.5, 1.5),
+            tol=1e-6)),
+}
+
+
+class TestRegistry:
+    def test_names_match_readme(self):
+        readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "README.md"), encoding="utf-8").read()
+        listed = readme.split("Experiments available to `Verify`/`Scan`:")[1]
+        listed = listed.split("Each accepts")[0]
+        names = re.findall(r"`(\w+)`", listed)
+        assert len(names) == 13
+        assert sorted(names) == sorted(experiments.EXPERIMENTS)
+        assert sorted(PARITY) == sorted(experiments.EXPERIMENTS)
+
+    @pytest.mark.parametrize("name", sorted(PARITY))
+    def test_cli_report_equals_direct_call(self, tmp_path, name):
+        grid, state, params, tols, direct = PARITY[name]
+        data = {"command": "Verify", "grid": grid,
+                "experiment": {"name": name, "parameters": params,
+                               "tolerances": tols}}
+        if state is not None:
+            data["state"] = state
+        code, artifacts = run_config(write_config(tmp_path, data),
+                                     str(tmp_path / "out"))
+        assert code in (EXIT_OK, EXIT_TOLERANCE) and artifacts
+        entry = json.load(open(artifacts[0]))["reports"][0]
+        expected = direct(make_grid(grid["n"], grid["x_min"], grid["x_max"]))
+        assert entry == json.loads(json.dumps(expected.to_dict()))
+        assert code == (EXIT_OK if expected.passed else EXIT_TOLERANCE)

@@ -1,0 +1,161 @@
+"""Config fuzz: strategies built from the experiment registry.
+
+Valid configs must end in one of the documented exit codes with no
+traceback; a config with one schema violation must exit 2 before any
+computation.
+"""
+
+import contextlib
+import copy
+import inspect
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from airylab import experiments
+from airylab.cli import EXIT_CONFIG, run_config
+
+NAMES = sorted(experiments.EXPERIMENTS)
+
+nums = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
+positive = st.floats(0.1, 10.0)
+VALUES = {
+    "num": nums,
+    "numlist": st.lists(nums, min_size=1, max_size=5),
+    "count": st.integers(1, 8),
+    "bool": st.booleans(),
+    "window": st.fixed_dictionaries({
+        "kind": st.sampled_from(["rect", "tukey"]),
+        "interior_fraction": st.floats(0.05, 1.0)}),
+    "band": st.one_of(
+        st.just("auto"), st.none(),
+        st.fixed_dictionaries({"p_plateau": positive,
+                               "p_support": positive})),
+    "probe": st.fixed_dictionaries({}, optional={
+        "x0": nums, "p0": nums, "sigma": positive}),
+}
+
+PERELOMOV = st.fixed_dictionaries(
+    {"kind": st.just("perelomov"), "eps": nums},
+    optional={"xi": nums, "t": nums, "band": VALUES["band"]})
+STATES = st.one_of(
+    PERELOMOV,
+    st.fixed_dictionaries({"kind": st.just("gaussian")},
+                          optional={"x0": nums, "p0": nums,
+                                    "sigma": positive}),
+    st.fixed_dictionaries({"kind": st.just("berry_balazs"), "B": nums}),
+    st.fixed_dictionaries({"kind": st.just("xi_eigenstate"), "xi": nums,
+                           "t": nums}))
+
+
+def _signature(name):
+    return inspect.signature(getattr(experiments, name)).parameters
+
+
+def _required(name):
+    tags, _ = experiments.EXPERIMENTS[name]
+    signature = _signature(name)
+    return [k for k in tags
+            if signature["w" if k == "window" else k].default
+            is inspect.Parameter.empty]
+
+
+@st.composite
+def valid_configs(draw):
+    name = draw(st.sampled_from(NAMES))
+    tags, tol_map = experiments.EXPERIMENTS[name]
+    required = _required(name)
+    params = {k: draw(VALUES[tag]) for k, tag in tags.items()
+              if k in required or draw(st.booleans())}
+    tols = {k: draw(st.floats(1e-12, 1.0)) for k in tol_map
+            if draw(st.booleans())}
+    # grid.n stays at or below 2^12: every draw is a real allocation
+    lo = draw(st.floats(-128.0, -1.0))
+    cfg = {"command": "Verify",
+           "grid": {"n": 2 ** draw(st.integers(3, 12)), "x_min": lo,
+                    "x_max": draw(st.floats(1.0, 128.0))},
+           "experiment": {"name": name, "parameters": params,
+                          "tolerances": tols}}
+    signature = _signature(name)
+    if "c" in signature:
+        cfg["state"] = draw(PERELOMOV)
+    elif "field" in signature or draw(st.booleans()):
+        cfg["state"] = draw(STATES)
+    if draw(st.booleans()):
+        cfg["phys"] = {"hbar": draw(positive), "m": draw(positive)}
+    return cfg
+
+
+def _mutations(cfg):
+    """Each returns a copy of cfg with exactly one schema violation."""
+    name = cfg["experiment"]["name"]
+    signature = _signature(name)
+    out = []
+    for where in ("", "grid", "experiment", "experiment.parameters",
+                  "experiment.tolerances", "state", "phys"):
+        def unknown_key(d, where=where):
+            target = d
+            for key in filter(None, where.split(".")):
+                target = target.setdefault(key, {})
+            target["bogus"] = 1.0
+        if where not in ("state", "phys") or where in cfg:
+            out.append(unknown_key)
+    for key in cfg["experiment"]["parameters"]:
+        def wrong_type(d, key=key):
+            d["experiment"]["parameters"][key] = "oops"
+        out.append(wrong_type)
+    for key in ("n", "x_min", "x_max"):
+        def wrong_grid_type(d, key=key):
+            d["grid"][key] = [d["grid"][key]]
+        out.append(wrong_grid_type)
+    for key in _required(name):
+        def missing(d, key=key):
+            del d["experiment"]["parameters"][key]
+        out.append(missing)
+    if "c" in signature:
+        def wrong_kind(d):
+            d["state"] = {"kind": "gaussian"}
+        out.append(wrong_kind)
+    if "c" in signature or "field" in signature:
+        def no_state(d):
+            del d["state"]
+        out.append(no_state)
+    return out
+
+
+def _run(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, _ = run_config(path, os.path.join(tmp, "out"))
+    return code, err.getvalue()
+
+
+FUZZ = settings(derandomize=True, deadline=None, database=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@settings(FUZZ, max_examples=40)
+@given(valid_configs())
+def test_valid_configs_keep_the_exit_contract(cfg):
+    code, err = _run(cfg)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+@settings(FUZZ, max_examples=60)
+@given(valid_configs(), st.data())
+def test_one_violation_exits_2(cfg, data):
+    mutate = data.draw(st.sampled_from(_mutations(cfg)))
+    bad = copy.deepcopy(cfg)
+    mutate(bad)
+    code, err = _run(bad)
+    assert code == EXIT_CONFIG, (mutate.__name__, bad)
+    assert err.startswith("error: ") and "Traceback" not in err

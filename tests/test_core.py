@@ -102,7 +102,7 @@ class TestFourier:
         phys = PhysParams(hbar=hbar)
         g = make_grid(4096, -80.0, 80.0, phys)
         s, x0, p0 = 2.0, 1.0, 0.8
-        psi = gaussian_packet(GaussianParams(x0, p0, s), g, phys)
+        psi = gaussian_packet(GaussianParams(x0, p0, s), g)
         mom = fourier(psi, Rep.MOMENTUM)
         expected_mag = (2.0 * s * s / (np.pi * hbar * hbar)) ** 0.25 * np.exp(
             -(s * (g.p - p0) / hbar) ** 2)

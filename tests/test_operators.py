@@ -9,21 +9,24 @@ from airylab import (
     CoherentParams,
     GaussianParams,
     GeneratorKind,
-    GridError,
     PhysParams,
     Rep,
+    Window,
     apply_displacement_U,
     apply_generator,
+    berry_balazs_initial,
     boost,
     boost_covariance_residual,
     fourier,
     free_evolve,
     gaussian_packet,
     inner_product,
+    k_expectation_series,
     make_grid,
     perelomov_state,
     translate,
     windowed_norm,
+    xi_eigenstate_x,
     zassenhaus_rhs,
 )
 
@@ -230,27 +233,60 @@ class TestZassenhaus:
 
 
 class TestHbarSource:
-    """hbar comes from the field's grid; a phys that disagrees is an error."""
-
-    def test_mismatched_phys_rejected(self, grid64):
-        psi = probe(grid64)
-        phys = PhysParams(hbar=2.0)
-        for op in (lambda: boost(psi, BoostParams(0.8), phys),
-                   lambda: free_evolve(psi, 0.5, phys),
-                   lambda: apply_generator(GeneratorKind.h(), psi, phys),
-                   lambda: apply_displacement_U(psi, CoherentParams(1.0), phys),
-                   lambda: zassenhaus_rhs(psi, 0.3, 0.5, 0.2, phys),
-                   lambda: boost_covariance_residual(psi, 0.8, 0.7, phys)):
-            with pytest.raises(GridError, match="different hbar"):
-                op()
+    """hbar and m come from the field's grid, the only place that holds them."""
 
     def test_default_phys_follows_grid(self):
-        phys = PhysParams(hbar=2.0)
+        phys = PhysParams(hbar=2.0, m=3.0)
         grid = make_grid(2048, -64.0, 64.0, phys)
+        assert grid.phys == phys and grid.hbar == 2.0
         psi = probe(grid, x0=0.0)
         r = boost_covariance_residual(psi, 0.8, 0.7)
         assert r.metrics["residual"] < 1e-12
-        assert r.config["phys"]["hbar"] == 2.0
+        assert r.config["phys"] == {"hbar": 2.0, "m": 3.0}
         a = free_evolve(boost(psi, BoostParams(0.8, 0.3)), 0.5)
-        b = free_evolve(boost(psi, BoostParams(0.8, 0.3), phys), 0.5, phys)
-        assert np.array_equal(a.amplitudes, b.amplitudes)
+        # the spelled-out propagator with grid.phys's hbar and m
+        b = boost(psi, BoostParams(0.8, 0.3))
+        mom = fourier(b, Rep.MOMENTUM)
+        mom = mom.with_amplitudes(
+            np.exp(-1j * grid.p ** 2 * 0.5 / (2.0 * grid.phys.m * grid.hbar))
+            * mom.amplitudes)
+        assert np.array_equal(a.amplitudes,
+                              fourier(mom, Rep.POSITION).amplitudes)
+
+    def test_mass_from_grid(self):
+        # amplitudes frozen from builds that passed PhysParams(hbar=0.5,
+        # m=2.0) explicitly, when the grid held hbar alone and m defaulted
+        # to 1 unless given
+        grid = make_grid(2048, -64.0, 64.0, PhysParams(hbar=0.5, m=2.0))
+        gauss = gaussian_packet(GaussianParams(1.0, 0.4, 2.0), grid)
+        builds = {
+            "gaussian": gauss,
+            "xi_eigenstate": xi_eigenstate_x(0.3, 0.7, grid),
+            "momentum": perelomov_state(CoherentParams(1.0, 0.3, 0.2),
+                                        Rep.MOMENTUM, grid),
+            "position": perelomov_state(CoherentParams(4.0, 0.3, 0.2),
+                                        Rep.POSITION, grid),
+            "berry_balazs": berry_balazs_initial(1.0, grid),
+            "evolved": free_evolve(gauss, 0.5),
+        }
+        frozen = {
+            "gaussian": [0.10950433515824931 - 0.2816617533071552j,
+                         0.3111644888109519 + 0.3203869552646227j],
+            "xi_eigenstate": [0.2813977224465254 - 0.612816229089843j,
+                              -0.5667416977727265 - 0.3654206573795113j],
+            "momentum": [0.39869577691921704 + 0.014022145295113723j,
+                         0.3986036728399684 - 0.01643335298661909j],
+            "position": [0.015531690730884349 + 0.0042873762673529036j,
+                         0.027126503912806067 - 0.006370569591475772j],
+            "berry_balazs": [-0.03012606414116718, 0.06364093179537238],
+            "evolved": [0.09474238056998055 - 0.2769754351466376j,
+                        0.3258947825605202 + 0.3049430994270558j],
+        }
+        for name, field in builds.items():
+            at = [5, 60] if name == "momentum" else [1000, 1040]
+            np.testing.assert_allclose(field.amplitudes[at], frozen[name],
+                                       rtol=1e-12, err_msg=name)
+        r = k_expectation_series(gauss, [0.0, 0.5, 1.0], w=Window.rect(0.5))
+        # <K(0)> = -m <x> = -2 x0
+        assert r.metrics["k_initial"] == pytest.approx(-2.0, rel=1e-14)
+        assert r.config["phys"] == {"hbar": 0.5, "m": 2.0}

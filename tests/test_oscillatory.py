@@ -1,6 +1,7 @@
 """Cubic-phase quadrature against frozen mpmath references and the
 completed-cube closed form."""
 
+import cmath
 import math
 import os
 import subprocess
@@ -168,6 +169,40 @@ class TestSweep:
             got = cubic_phase_integral(c3, c2, c1, 0.0, tol=1e-10)
             ref = closed_form(c3, c2, c1)
             assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (c3, c2, c1)
+
+
+def fresnel_closed_form(c2, c1, eta):
+    """Integral of exp(i(c2 p^2 + c1 p) - eta p^2) for c2 != 0:
+    sqrt(pi/z) e^(-c1^2/4z) with z = eta - i c2 (principal root)."""
+    z = complex(eta, -c2)
+    return cmath.sqrt(math.pi / z) * cmath.exp(-c1 * c1 / (4.0 * z))
+
+
+class TestQuadraticSweep:
+    """c3 = 0 integrates on the line through the stationary point -c1/2a,
+    a = c2 + i eta; far from p = 0 a line through the origin cancels."""
+
+    @staticmethod
+    def triples(n=32, seed=20261019):
+        """|c2| log-uniform over [0.01, 3] with both signs, c1 in [-20, 20],
+        eta = 0 for every other triple and log-uniform over [1e-4, 1] else."""
+        rng = np.random.default_rng(seed)
+        mags = np.exp(rng.uniform(np.log(0.01), np.log(3.0), n))
+        signs = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
+        etas = np.exp(rng.uniform(np.log(1e-4), 0.0, n))
+        etas[::2] = 0.0
+        return list(zip(signs * mags, rng.uniform(-20.0, 20.0, n), etas))
+
+    @pytest.mark.parametrize("tol", [1e-7, 1e-10])
+    def test_meets_tol_against_closed_form(self, tol):
+        triples = self.triples() + [(0.1, 5.0, 0.0), (0.05, 20.0, 0.0),
+                                    (0.5, 1.0, 1e-3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c2, c1, eta in triples:
+                ref = fresnel_closed_form(c2, c1, eta)
+                got = cubic_phase_integral(0.0, c2, c1, eta, tol=tol)
+                assert abs(got - ref) <= tol * max(1.0, abs(ref)), (c2, c1, eta)
 
 
 class TestFailureModes:

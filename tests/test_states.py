@@ -155,9 +155,10 @@ class TestPerelomovMomentum:
                             grid64, band="wide")
 
     def test_hbar_mismatch_rejected(self, grid64):
-        with pytest.raises(GridError, match="different hbar"):
+        # the grid holds hbar; a second one has no parameter to go to
+        with pytest.raises(TypeError, match="phys"):
             perelomov_state(CoherentParams(1.0, 0.0, 0.0), Rep.MOMENTUM,
-                            grid64, PhysParams(hbar=0.5))
+                            grid64, phys=PhysParams(hbar=0.5))
 
     def test_delta_normalization_scale(self, grid64):
         # <eps,xi|eps,xi'> -> delta(xi - xi'): on the lattice the self
@@ -166,7 +167,7 @@ class TestPerelomovMomentum:
         phys = PhysParams(hbar=0.5, m=2.0)
         g = make_grid(2048, -64.0, 64.0, phys)
         f = perelomov_state(CoherentParams(1.0, 0.0, 0.0), Rep.MOMENTUM,
-                            g, phys, band=None)
+                            g, band=None)
         assert np.max(np.abs(np.abs(f.amplitudes)
                              - 1.0 / np.sqrt(TWO_PI * 0.5 * 2.0))) < 1e-15
 
@@ -266,7 +267,7 @@ class TestBerryBalazs:
     def test_hbar_scaling(self):
         phys = PhysParams(hbar=0.5)
         g = make_grid(2048, -64.0, 64.0, phys)
-        f = berry_balazs_initial(1.0, g, phys)
+        f = berry_balazs_initial(1.0, g)
         expected = ai_values(g.x / 0.5 ** (2.0 / 3.0))
         assert np.max(np.abs(f.amplitudes - expected)) == 0.0
 
