@@ -361,8 +361,10 @@ def evolution_equivalence(
     """
     w = _default_window(w)
     tau = float(tau)
-    if c.eps == 0.0:
-        raise GeometryError("the factorization needs eps != 0")
+    if c.eps * c.eps == 0.0:
+        # the phase m tau^3/3 hbar eps^2 divides by eps^2
+        raise GeometryError(
+            f"the factorization needs eps^2 > 0 in float64, got eps = {c.eps}")
     if c.t != 0.0:
         raise AirylabError("the identity is anchored at label time t = 0")
     hbar, m = grid.phys.hbar, grid.phys.m

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AirylabError, Rep, WaveField, to_rep
+from .core import AirylabError, GeometryError, Rep, WaveField, to_rep
 from .states import CoherentParams
 
 _TAGS = ("x", "p", "h", "k")
@@ -116,6 +116,9 @@ def boost(field: WaveField, b: BoostParams) -> WaveField:
     e^(-i v m x/hbar), applied to psi(x + v t).
     """
     hbar, m = field.grid.phys.hbar, field.grid.phys.m
+    if not np.isfinite(b.v * b.v * b.t):
+        raise GeometryError(
+            f"boost phase m v^2 t/2 hbar overflows at v = {b.v}, t = {b.t}")
     shifted = to_rep(translate(field, -b.v * b.t), Rep.POSITION)
     amps = (np.exp(-1j * m * b.v ** 2 * b.t / (2.0 * hbar))
             * np.exp(-1j * b.v * m * field.grid.x / hbar)

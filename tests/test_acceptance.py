@@ -284,7 +284,8 @@ def test_criterion_11_cli_contract(tmp_path):
 
     code, arts = run(base, "ok")
     assert code == 0
-    assert json.load(open(arts[0]))["passed"] is True
+    with open(arts[0], encoding="utf-8") as fh:
+        assert json.load(fh)["passed"] is True
 
     tight = json.loads(json.dumps(base))
     tight["experiment"]["tolerances"]["residual"] = 1e-30

@@ -45,6 +45,11 @@ BASE_VERIFY = {
 }
 
 
+def load_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def write_config(tmp_path, data, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -56,7 +61,7 @@ class TestExitCodes:
         cfg = write_config(tmp_path, BASE_VERIFY)
         code, artifacts = run_config(cfg, str(tmp_path / "out"))
         assert code == EXIT_OK
-        report = json.load(open(artifacts[0]))
+        report = load_json(artifacts[0])
         assert report["passed"] is True
         assert report["reports"][0]["metrics"]["residual"] < 1e-6
         assert report["config"]["grid"]["n"] == 4096
@@ -67,7 +72,7 @@ class TestExitCodes:
         cfg = write_config(tmp_path, data)
         code, artifacts = run_config(cfg, str(tmp_path / "out"))
         assert code == EXIT_TOLERANCE
-        assert json.load(open(artifacts[0]))["passed"] is False
+        assert load_json(artifacts[0])["passed"] is False
 
     def test_power_of_two_rule(self, tmp_path, capsys):
         data = json.loads(json.dumps(BASE_VERIFY))
@@ -164,7 +169,7 @@ class TestExitCodes:
                                "parameters": {"eps_list": [1.0, 2.0, 4.0]}}}
         code, artifacts = run_config(write_config(tmp_path, data),
                                      str(tmp_path / "out"))
-        report = json.load(open(artifacts[0]))["reports"][0]
+        report = load_json(artifacts[0])["reports"][0]
         assert code == EXIT_OK
         assert report["config"]["phys"] == {"hbar": 2.0, "m": 3.0}
         ai0 = 0.355028053887817239  # Ai(0)
@@ -226,7 +231,7 @@ class TestCommands:
         out = tmp_path / "out"
         code = main(["--config", cfg, "--out-dir", str(out), "--seed", "7"])
         assert code == EXIT_OK
-        assert json.load(open(out / "report.json"))["seed"] == 7
+        assert load_json(out / "report.json")["seed"] == 7
 
 
 class TestEmitCsv:
@@ -413,8 +418,9 @@ PARITY = {
 
 class TestRegistry:
     def test_names_match_readme(self):
-        readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
-                                   "README.md"), encoding="utf-8").read()
+        with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "README.md"), encoding="utf-8") as fh:
+            readme = fh.read()
         listed = readme.split("Experiments available to `Verify`/`Scan`:")[1]
         listed = listed.split("Each accepts")[0]
         names = re.findall(r"`(\w+)`", listed)
@@ -433,7 +439,7 @@ class TestRegistry:
         code, artifacts = run_config(write_config(tmp_path, data),
                                      str(tmp_path / "out"))
         assert code in (EXIT_OK, EXIT_TOLERANCE) and artifacts
-        entry = json.load(open(artifacts[0]))["reports"][0]
+        entry = load_json(artifacts[0])["reports"][0]
         expected = direct(make_grid(grid["n"], grid["x_min"], grid["x_max"]))
         assert entry == json.loads(json.dumps(expected.to_dict()))
         assert code == (EXIT_OK if expected.passed else EXIT_TOLERANCE)

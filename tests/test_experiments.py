@@ -134,6 +134,13 @@ class TestEvolutionEquivalence:
         with pytest.raises(AirylabError):
             evolution_equivalence(CoherentParams(0.0, 0.0, 0.0), 0.5, g128)
 
+    @pytest.mark.parametrize("eps,tau", [(1.38e-183, 0.0), (1e-170, 0.5)])
+    def test_underflowing_eps_is_a_geometry_error(self, g128, eps, tau):
+        # eps^2 underflows to 0; these were a ZeroDivisionError and an
+        # OverflowError from the boost by tau/eps
+        with pytest.raises(GeometryError, match="eps\\^2"):
+            evolution_equivalence(CoherentParams(eps, 0.0, 0.0), tau, g128)
+
 
 class TestOverlapScan:
     def test_cube_root_law(self):

@@ -9,6 +9,7 @@ from airylab import (
     CoherentParams,
     GaussianParams,
     GeneratorKind,
+    GeometryError,
     PhysParams,
     Rep,
     Window,
@@ -128,6 +129,12 @@ class TestBoost:
     def test_rejects_non_finite(self):
         with pytest.raises(AirylabError):
             BoostParams(v=float("nan"), t=0.0)
+
+    @pytest.mark.parametrize("v,t", [(1e200, 1.0), (1e160, 0.0)])
+    def test_overflowing_phase_is_a_geometry_error(self, grid64, v, t):
+        # v^2 overflows float64; this was a bare OverflowError
+        with pytest.raises(GeometryError, match="overflows"):
+            boost(probe(grid64), BoostParams(v=v, t=t))
 
 
 class TestFreeEvolve:
