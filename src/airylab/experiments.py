@@ -17,7 +17,6 @@ momentum build; metrics inside the window probe the family itself.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +40,7 @@ from .core import (
 from .operators import (
     BoostParams,
     GeneratorKind,
+    _translate_boost,
     apply_generator,
     boost,
     free_evolve,
@@ -51,9 +51,11 @@ from .states import (
     BandTaper,
     CoherentParams,
     GaussianParams,
+    _family_coefficients,
+    _family_phase,
+    _plan_band,
     _smoothstep,
     berry_balazs_initial,
-    fit_band,
     gaussian_packet,
     perelomov_state,
 )
@@ -144,31 +146,6 @@ def _default_window(w: Window | None) -> Window:
     return w if w is not None else Window.rect(0.5)
 
 
-def _plan_band(c: CoherentParams, times, grid: Grid,
-               band: BandTaper | str | None) -> BandTaper | None:
-    """Resolve a band policy against the worst-case content over `times`.
-
-    The content map is linear in t at fixed p, so its extremes over a
-    time interval sit at the endpoints; the tightest of the endpoint
-    fits covers every intermediate instant.
-    """
-    if band is None or isinstance(band, BandTaper):
-        return band
-    if band != "auto":
-        raise AirylabError(f"band must be 'auto', None, or a BandTaper, got {band!r}")
-    times = sorted({float(t) for t in times})
-    fits = [fit_band(dataclasses.replace(c, t=t), grid)
-            for t in (times[0], times[-1])]
-    return BandTaper(p_plateau=min(f.p_plateau for f in fits),
-                     p_support=min(f.p_support for f in fits))
-
-
-def _family_position(c: CoherentParams, grid: Grid,
-                     band: BandTaper | None) -> WaveField:
-    mom = perelomov_state(c, Rep.MOMENTUM, grid, band=band)
-    return to_rep(mom, Rep.POSITION)
-
-
 def _parabolic_peak(field: WaveField) -> float:
     """Sub-bin density peak via a three-point parabola through the maximum."""
     rho = field.density()
@@ -203,9 +180,8 @@ def eigenrelation_residual(
     """
     w = _default_window(w)
     probe = c.xi if xi_probe is None else float(xi_probe)
-    band_r = _plan_band(c, [c.t], grid, band) \
-        if not (c.eps == 0.0 and c.t == 0.0) else None
-    psi = _family_position(c, grid, band_r)
+    band_r = _plan_band(c, [c.t], grid, band)
+    psi = to_rep(perelomov_state(c, Rep.MOMENTUM, grid, band=band_r), Rep.POSITION)
     kpsi = apply_generator(GeneratorKind.k(c.t), psi)
     hpsi = apply_generator(GeneratorKind.h(), psi)
     res = psi.with_amplitudes(
@@ -367,15 +343,13 @@ def evolution_equivalence(
             f"the factorization needs eps^2 > 0 in float64, got eps = {c.eps}")
     if c.t != 0.0:
         raise AirylabError("the identity is anchored at label time t = 0")
-    hbar, m = grid.phys.hbar, grid.phys.m
     band_r = _plan_band(c, [0.0, tau], grid, band)
     mom0 = perelomov_state(c, Rep.MOMENTUM, grid, band=band_r)
     lhs = to_rep(free_evolve(mom0, tau), Rep.POSITION)
-    rhs = translate(mom0, -tau ** 2 / (2.0 * c.eps))
-    rhs = boost(rhs, BoostParams(v=tau / c.eps, t=0.0))
-    scalar = np.exp(-1j * tau * c.xi / (hbar * c.eps))
+    rhs, cubic = _translate_boost(mom0, tau / c.eps, c.eps, 0.0)
+    scalar = np.exp(-1j * tau * c.xi / (grid.phys.hbar * c.eps))
     if not drop_cubic_phase:
-        scalar *= np.exp(-1j * m * tau ** 3 / (3.0 * hbar * c.eps ** 2))
+        scalar *= cubic
     rhs = to_rep(rhs.with_amplitudes(scalar * rhs.amplitudes, time=tau),
                  Rep.POSITION)
     ip = inner_product(lhs, rhs, w)
@@ -402,13 +376,11 @@ def evolution_equivalence(
 
 def _pair_overlap(ca: CoherentParams, cb: CoherentParams,
                   phys: PhysParams, quad_tol: float) -> complex:
-    """<ca | cb> assembled from both labels through the cubic-phase integral."""
-    hbar, m = phys.hbar, phys.m
-    c3 = -(cb.eps - ca.eps) / (6.0 * m * m * hbar)
-    c2 = -(cb.t - ca.t) / (2.0 * m * hbar)
-    c1 = (cb.xi - ca.xi) / (m * hbar)
+    """<ca | cb>: the cubic-phase integral of the family phase at cb - ca."""
+    c3, c2, c1 = _family_coefficients(cb.eps - ca.eps, cb.xi - ca.xi,
+                                      cb.t - ca.t, phys)
     val = cubic_phase_integral(c3, c2, c1, damping=0.0, tol=quad_tol)
-    return complex(val) / (TWO_PI * hbar * m)
+    return complex(val) / (TWO_PI * phys.hbar * phys.m)
 
 
 @_experiment({"exponent_err": "tol_exponent",
@@ -528,11 +500,11 @@ def basis_orthonormality(
     delta_xi = TWO_PI * m * hbar / (m_pts * grid.dp)
     offsets = (np.arange(n_states) - (n_states - 1) / 2.0) * delta_xi
 
-    p = grid.p
-    common = np.exp(-1j * (t * p ** 2 / (2.0 * m)
-                           + eps * p ** 3 / (6.0 * m * m)) / hbar)
+    # U(eps, t, xi) = U(eps, t, 0) U(0, 0, xi): one common phase times
+    # the plane waves of the xi lattice
+    common = _family_phase(CoherentParams(eps, 0.0, t), grid)
     norm = 1.0 / np.sqrt(TWO_PI * hbar * m)
-    states = norm * common * np.exp(1j * np.outer(offsets, p) / (m * hbar))
+    states = norm * common * np.exp(1j * np.outer(offsets, grid.p) / (m * hbar))
 
     weighted = states.conj() * ww
     gram = (weighted @ states.T) * grid.dp
@@ -738,7 +710,7 @@ def representation_crosscheck(
     w = _default_window(w)
     closed = perelomov_state(c, Rep.POSITION, grid)
     band_r = _plan_band(c, [c.t], grid, band)
-    via_fft = _family_position(c, grid, band_r)
+    via_fft = to_rep(perelomov_state(c, Rep.MOMENTUM, grid, band=band_r), Rep.POSITION)
     ww = window_weights(grid, w, Rep.POSITION)
     diff = ww * np.abs(closed.amplitudes - via_fft.amplitudes)
     scale = float(np.max(ww * np.abs(closed.amplitudes)))
@@ -786,7 +758,7 @@ def eps_to_zero_limit(
     for e in eps_seq:
         c = CoherentParams(e, xi, t)
         band_r = _plan_band(c, [t], grid, band)
-        psi = _family_position(c, grid, band_r)
+        psi = to_rep(perelomov_state(c, Rep.MOMENTUM, grid, band=band_r), Rep.POSITION)
         diff = psi.with_amplitudes(psi.amplitudes - ref.amplitudes)
         errors.append(windowed_norm(diff, w) / ref_norm)
     monotone = all(a > b for a, b in zip(errors, errors[1:]))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AirylabError, GeometryError, Rep, WaveField, to_rep
-from .states import CoherentParams
+from .states import CoherentParams, _family_phase
 
 _TAGS = ("x", "p", "h", "k")
 
@@ -142,15 +142,25 @@ def free_evolve(field: WaveField, tau: float) -> WaveField:
 def apply_displacement_U(field: WaveField, c: CoherentParams) -> WaveField:
     """Coherent-family displacement, a single momentum-diagonal phase:
 
-    U(eps, t, xi) = exp((i/hbar)(-eps p^3/6m^2 - t p^2/2m + xi p/m)).
+    U(eps, t, xi) = exp((i/hbar)(xi p/m - t p^2/2m - eps p^3/6m^2)).
+    On the flat fiducial state it is perelomov_state(c, band=None).
     """
-    hbar, m = field.grid.phys.hbar, field.grid.phys.m
     mom = to_rep(field, Rep.MOMENTUM)
-    p = field.grid.p
-    phase = np.exp(1j * (-c.eps * p ** 3 / (6.0 * m * m)
-                         - c.t * p ** 2 / (2.0 * m)
-                         + c.xi * p / m) / hbar)
+    phase = _family_phase(c, field.grid)
     return to_rep(mom.with_amplitudes(phase * mom.amplitudes), field.rep)
+
+
+def _translate_boost(field: WaveField, v: float, eps: float,
+                     t: float) -> tuple[WaveField, complex]:
+    """e^(i v K(t)/hbar) e^(i v^2 eps p/2 hbar) applied right to left, and
+    the scalar e^(-i m eps v^3/3 hbar): the Zassenhaus product less its
+    free-evolution factor, with the scalar left for the caller to apply."""
+    phys = field.grid.phys
+    theta = phys.m * eps * v * v * v / (3.0 * phys.hbar)
+    if not np.isfinite(theta):
+        raise GeometryError(f"Zassenhaus phase m eps v^3/3 hbar overflows at v = {v}")
+    out = boost(translate(field, -v * v * eps / 2.0), BoostParams(v=v, t=t))
+    return out, np.exp(-1j * theta)
 
 
 def zassenhaus_rhs(field: WaveField, v: float, eps: float, t: float) -> WaveField:
@@ -163,9 +173,6 @@ def zassenhaus_rhs(field: WaveField, v: float, eps: float, t: float) -> WaveFiel
     v, eps, t = float(v), float(eps), float(t)
     if not (np.isfinite(v) and np.isfinite(eps) and np.isfinite(t)):
         raise AirylabError("zassenhaus_rhs requires finite v, eps, t")
-    out = translate(field, -v * v * eps / 2.0)
-    out = boost(out, BoostParams(v=v, t=t))
+    out, scalar = _translate_boost(field, v, eps, t)
     out = free_evolve(out, -v * eps)
-    phys = field.grid.phys
-    amps = np.exp(-1j * phys.m * eps * v ** 3 / (3.0 * phys.hbar)) * out.amplitudes
-    return WaveField(grid=out.grid, rep=out.rep, amplitudes=amps, time=field.time)
+    return out.with_amplitudes(scalar * out.amplitudes, time=field.time)

@@ -183,6 +183,43 @@ def fit_band(
     return BandTaper(p_plateau=plateau, p_support=support)
 
 
+def _plan_band(c: CoherentParams, times, grid: Grid,
+               band: BandTaper | str | None) -> BandTaper | None:
+    """Resolve a band policy against the worst-case content over `times`.
+
+    The content map is linear in t at fixed p, so its extremes over a
+    time interval sit at the endpoints; the tightest of the endpoint
+    fits, one per distinct endpoint, covers every intermediate instant.
+    """
+    if c.eps == 0.0 and all(t == 0.0 for t in times):
+        # a grid delta takes the full band (a taper would smear its spike)
+        return None
+    if band is None or isinstance(band, BandTaper):
+        return band
+    if band != "auto":
+        raise AirylabError(f"band must be 'auto', None, or a BandTaper, got {band!r}")
+    fits = [fit_band(CoherentParams(c.eps, c.xi, t), grid)
+            for t in {float(min(times)), float(max(times))}]
+    return BandTaper(p_plateau=min(f.p_plateau for f in fits),
+                     p_support=min(f.p_support for f in fits))
+
+
+def _family_phase(c: CoherentParams, grid: Grid) -> np.ndarray:
+    """The family's one phase on the momentum lattice, the group element
+    U(eps, t, xi) = e^((i/hbar)(p xi/m - t p^2/2m - eps p^3/6m^2))."""
+    hbar, m, p = grid.phys.hbar, grid.phys.m, grid.p
+    return np.exp(1j * (p * c.xi / m - c.t * p * p / (2.0 * m)
+                        - c.eps * p ** 3 / (6.0 * m * m)) / hbar)
+
+
+def _family_coefficients(eps: float, xi: float, t: float,
+                         phys: PhysParams) -> tuple[float, float, float]:
+    """(c3, c2, c1) with that phase = e^(i(c3 p^3 + c2 p^2 + c1 p)).  It is
+    linear in the label, so <a|b> integrates the phase of b - a over 2 pi hbar m."""
+    hbar, m = phys.hbar, phys.m
+    return -eps / (6.0 * m * m * hbar), -t / (2.0 * m * hbar), xi / (m * hbar)
+
+
 def gaussian_packet(g: GaussianParams, grid: Grid) -> WaveField:
     """Unit-normalized Gaussian e^(i p0 x / hbar) e^(-(x-x0)^2 / 4 sigma^2).
 
@@ -239,7 +276,8 @@ def perelomov_state(
 ) -> WaveField:
     """Coherent family member |eps, xi; t> in either representation.
 
-    Momentum representation: delta-normalized amplitudes
+    Momentum representation: U(eps, t, xi) on the flat fiducial state,
+    the delta-normalized amplitudes
         (2 pi hbar m)^(-1/2) e^((i/hbar)(p xi/m - t p^2/2m - eps p^3/6m^2)),
     optionally multiplied by a band taper (band="auto" plans one with
     fit_band; band=None builds the bare phase, which periodizes).
@@ -255,25 +293,12 @@ def perelomov_state(
     hbar, m = grid.phys.hbar, grid.phys.m
 
     if rep == Rep.MOMENTUM:
-        p = grid.p
-        norm = 1.0 / np.sqrt(TWO_PI * hbar * m)
-        phase = np.exp(
-            1j * (p * c.xi / m - c.t * p * p / (2.0 * m)
-                  - c.eps * p ** 3 / (6.0 * m * m)) / hbar)
-        if c.eps == 0.0 and c.t == 0.0:
-            # pure plane phase: the grid-delta branch takes the full band
-            # (a taper would smear the single-bin spike)
-            amps = norm * phase
-        else:
-            if band == "auto":
-                band = fit_band(c, grid)
-            if band is None:
-                amps = norm * phase
-            elif isinstance(band, BandTaper):
-                amps = norm * band.weights(p) * phase
-            else:
-                raise AirylabError(f"band must be 'auto', None, or a BandTaper, got {band!r}")
-        return WaveField(grid=grid, rep=Rep.MOMENTUM, amplitudes=amps, time=c.t)
+        scale = 1.0 / np.sqrt(TWO_PI * hbar * m)
+        band = _plan_band(c, [c.t], grid, band)
+        if band is not None:
+            scale = scale * band.weights(grid.p)
+        return WaveField(grid=grid, rep=Rep.MOMENTUM,
+                         amplitudes=scale * _family_phase(c, grid), time=c.t)
 
     if rep != Rep.POSITION:
         raise AirylabError(f"unknown representation {rep!r}")
@@ -291,18 +316,7 @@ def perelomov_state(
         return WaveField(grid=grid, rep=Rep.POSITION, amplitudes=amps, time=c.t)
     cube = np.sign(c.eps) * (2.0 * hbar * m * m / abs(c.eps)) ** (1.0 / 3.0)
     arg = -(cube / hbar) * (x + c.xi / m + c.t * c.t / (2.0 * c.eps))
-    _check_airy_resolution(c, grid, arg)
-    phase = np.exp(-1j * ((c.xi + m * x) * c.t / c.eps
-                          + m * c.t ** 3 / (3.0 * c.eps ** 2)) / hbar)
-    amps = (abs(cube) / (hbar * np.sqrt(m))) * phase * ai_values(arg)
-    return WaveField(grid=grid, rep=Rep.POSITION, amplitudes=amps.astype(complex),
-                     time=c.t)
-
-
-def _check_airy_resolution(c, grid, arg):
-    """dx must stay under a quarter of the fastest local wavelength."""
-    hbar, m = grid.phys.hbar, grid.phys.m
-    cube = np.sign(c.eps) * (2.0 * hbar * m * m / abs(c.eps)) ** (1.0 / 3.0)
+    # dx must stay under a quarter of the fastest local wavelength
     z_osc = max(0.0, float(-np.min(arg)))
     k_airy = (abs(cube) / hbar) * np.sqrt(z_osc)
     k_chirp = m * abs(c.t) / (abs(c.eps) * hbar)
@@ -311,6 +325,11 @@ def _check_airy_resolution(c, grid, arg):
         raise ResolutionError(
             f"dx = {grid.dx:g} exceeds a quarter local wavelength "
             f"{np.pi / (2.0 * k):g} at the box edge")
+    phase = np.exp(-1j * ((c.xi + m * x) * c.t / c.eps
+                          + m * c.t ** 3 / (3.0 * c.eps ** 2)) / hbar)
+    amps = (abs(cube) / (hbar * np.sqrt(m))) * phase * ai_values(arg)
+    return WaveField(grid=grid, rep=Rep.POSITION, amplitudes=amps.astype(complex),
+                     time=c.t)
 
 
 def berry_balazs_initial(B: float, grid: Grid) -> WaveField:

@@ -16,15 +16,18 @@ from airylab import (
     CoherentParams,
     GaussianParams,
     GeometryError,
+    PhysParams,
     Rep,
     Window,
     gaussian_packet,
+    inner_product,
     make_grid,
     perelomov_state,
     to_rep,
 )
 from airylab.experiments import (
     ExperimentReport,
+    _pair_overlap,
     acceleration_fit,
     basis_orthonormality,
     berry_balazs_trajectory,
@@ -141,6 +144,12 @@ class TestEvolutionEquivalence:
         with pytest.raises(GeometryError, match="eps\\^2"):
             evolution_equivalence(CoherentParams(eps, 0.0, 0.0), tau, g128)
 
+    def test_overflowing_zassenhaus_phase_is_a_geometry_error(self, g128):
+        # eps^2 is still positive, but m eps v^3 at v = tau/eps overflows
+        with pytest.raises(GeometryError, match="overflows"):
+            evolution_equivalence(CoherentParams(1e-155, 0.0, 0.0), 0.5,
+                                  g128, band=None)
+
 
 class TestOverlapScan:
     def test_cube_root_law(self):
@@ -159,6 +168,31 @@ class TestOverlapScan:
     def test_tolerance_override_can_fail(self):
         r = overlap_scan([0.5, 1.0, 2.0], tol_exponent=1e-18)
         assert not r.passed
+
+    @pytest.mark.parametrize("phys,band,la,lb,resolved", [
+        (PhysParams(), (10.0, 20.0), (0.0, 0.0, 0.3), (1.0, 0.0, 0.3), True),
+        (PhysParams(), (10.0, 20.0), (0.0, 0.0, 0.3), (-1.0, 0.0, 0.3), True),
+        (PhysParams(), (10.0, 20.0), (0.5, 0.2, 0.3), (-0.5, -0.4, 0.1), True),
+        (PhysParams(0.7, 2.5), (20.0, 40.0), (0.0, 0.0, 0.3), (1.0, 0.0, 0.3),
+         True),
+        (PhysParams(0.7, 2.5), (20.0, 40.0), (0.0, 0.3, 0.3), (1.0, -0.5, 0.1),
+         True),
+        # the same labels on too narrow a band: the check can fail
+        (PhysParams(0.7, 2.5), (10.0, 20.0), (0.0, 0.0, 0.3), (1.0, 0.0, 0.3),
+         False),
+    ])
+    def test_pair_overlap_matches_grid_inner_product(self, phys, band, la, lb,
+                                                     resolved):
+        # the quadrature integrates the family phase of the label
+        # difference; the grid multiplies the two banded builds
+        g = make_grid(16384, -256.0, 256.0, phys)
+        ca, cb = CoherentParams(*la), CoherentParams(*lb)
+        taper = BandTaper(*band)
+        on_grid = inner_product(
+            perelomov_state(ca, Rep.MOMENTUM, g, band=taper),
+            perelomov_state(cb, Rep.MOMENTUM, g, band=taper))
+        quad = _pair_overlap(ca, cb, phys, 1e-10)
+        assert (abs(on_grid - quad) <= 1e-10 * abs(quad)) == resolved
 
 
 class TestBasisOrthonormality:

@@ -174,9 +174,7 @@ class TestDisplacement:
         c = CoherentParams(1.2, -0.4, 0.3)
         displaced = apply_displacement_U(flat, c)
         direct = perelomov_state(c, Rep.MOMENTUM, grid64, band=None)
-        # the two phase polynomials are summed in different association
-        # orders; agreement is limited by rounding of the p^3 term
-        assert np.max(np.abs(displaced.amplitudes - direct.amplitudes)) < 1e-11
+        assert np.array_equal(displaced.amplitudes, direct.amplitudes)
 
     def test_inverse_composition(self, grid64):
         psi = probe(grid64)
@@ -237,6 +235,12 @@ class TestZassenhaus:
     def test_rejects_non_finite(self, grid64):
         with pytest.raises(AirylabError, match="finite"):
             zassenhaus_rhs(probe(grid64), float("nan"), 1.0, 0.0)
+
+    @pytest.mark.parametrize("v", [1e110, 1e200])
+    def test_overflowing_phase_is_a_geometry_error(self, grid64, v):
+        # m eps v^3 leaves float64 before v^2 eps/2 does
+        with pytest.raises(GeometryError, match="overflows"):
+            zassenhaus_rhs(probe(grid64), v, 1.0, 0.0)
 
 
 class TestHbarSource:

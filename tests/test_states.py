@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from airylab import states
 from airylab import (
     AirylabError,
     BandTaper,
@@ -172,6 +173,49 @@ class TestPerelomovMomentum:
                              - 1.0 / np.sqrt(TWO_PI * 0.5 * 2.0))) < 1e-15
 
 
+def literal_momentum_build(c, grid, band):
+    """The momentum closed form written out term by term, in the
+    floating-point order of the build: norm, then taper, then phase."""
+    hbar, m = grid.phys.hbar, grid.phys.m
+    p = grid.p
+    norm = 1.0 / np.sqrt(TWO_PI * hbar * m)
+    phase = np.exp(
+        1j * (p * c.xi / m - c.t * p * p / (2.0 * m)
+              - c.eps * p ** 3 / (6.0 * m * m)) / hbar)
+    if band is None:
+        return norm * phase
+    return norm * band.weights(p) * phase
+
+
+class TestMomentumBuildBitwise:
+    """The momentum build is U(eps, t, xi) on the flat fiducial state,
+    equal bit for bit to the literal closed form."""
+
+    LABELS = [(1.0, 0.0, 0.0), (-1.3, 0.0, 0.0), (0.8, -0.7, 0.0),
+              (1.2, 0.4, 0.3), (-0.9, 1.1, -0.5), (0.0, 0.6, 0.4)]
+
+    @pytest.mark.parametrize("phys", [PhysParams(), PhysParams(0.7, 2.5)])
+    @pytest.mark.parametrize("label", LABELS)
+    @pytest.mark.parametrize("policy", [None, "auto", BandTaper(2.0, 4.0)])
+    def test_matches_literal_expression(self, phys, label, policy):
+        g = make_grid(2048, -64.0, 64.0, phys)
+        c = CoherentParams(*label)
+        band = fit_band(c, g) if policy == "auto" else policy
+        built = perelomov_state(c, Rep.MOMENTUM, g, band=policy)
+        assert np.array_equal(built.amplitudes,
+                              literal_momentum_build(c, g, band))
+
+    @pytest.mark.parametrize("phys", [PhysParams(), PhysParams(0.7, 2.5)])
+    @pytest.mark.parametrize("band", [None, "auto", BandTaper(2.0, 4.0)])
+    def test_grid_delta_matches_literal_expression(self, phys, band):
+        # eps = t = 0 ignores the band policy and keeps the full band
+        g = make_grid(2048, -64.0, 64.0, phys)
+        c = CoherentParams(0.0, -1.5, 0.0)
+        built = perelomov_state(c, Rep.MOMENTUM, g, band=band)
+        assert np.array_equal(built.amplitudes,
+                              literal_momentum_build(c, g, None))
+
+
 class TestBandPlanning:
     def test_band_taper_profile(self):
         band = BandTaper(2.0, 5.0)
@@ -204,6 +248,26 @@ class TestBandPlanning:
         content = content_map(c, PhysParams(), p_edge)
         assert np.all(content > grid64.x_min)
         assert np.all(content < grid64.x_max)
+
+    def test_plan_band_fits_each_distinct_endpoint_once(self, grid64,
+                                                        monkeypatch):
+        fitted = []
+
+        def counting_fit(c, grid, **kwargs):
+            fitted.append(c.t)
+            return fit_band(c, grid, **kwargs)
+
+        monkeypatch.setattr(states, "fit_band", counting_fit)
+        c = CoherentParams(1.0, 0.0, 0.5)
+        perelomov_state(c, Rep.MOMENTUM, grid64)
+        assert fitted == [0.5]
+        fitted.clear()
+        band = states._plan_band(c, [0.5, 0.2, 0.9, 0.2], grid64, "auto")
+        assert sorted(fitted) == [0.2, 0.9]
+        fits = [fit_band(CoherentParams(1.0, 0.0, t), grid64)
+                for t in (0.2, 0.9)]
+        assert band == BandTaper(min(f.p_plateau for f in fits),
+                                 min(f.p_support for f in fits))
 
     def test_fit_band_margins_exceed_box(self):
         g = make_grid(64, -2.0, 2.0)
