@@ -30,7 +30,6 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -191,9 +190,10 @@ def emit_svg_plot(series, path: str) -> None:
         parts.append(f'<line x1="{_SVG_W - _MR - 150}" y1="{ly - 4}" '
                      f'x2="{_SVG_W - _MR - 120}" y2="{ly - 4}" '
                      f'stroke="{color}" stroke-width="1.5"/>')
+        # XML-escape the label, "&" first
+        text = label.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
         parts.append(f'<text x="{_SVG_W - _MR - 112}" y="{ly}" '
-                     f'font-family="monospace" font-size="13">'
-                     f'{escape(label)}</text>')
+                     f'font-family="monospace" font-size="13">{text}</text>')
     parts.append("</svg>")
     _atomic_write_text(path, "\n".join(parts) + "\n")
 

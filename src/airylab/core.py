@@ -83,7 +83,8 @@ class Grid:
     periodic seam, not a sample).  The momentum lattice is in FFT order with
     spacing 2*pi*hbar/(n_points*dx) and max |p| = pi*hbar/dx.  The grid is
     the one holder of the physical constants: every state, operator and
-    experiment on it reads hbar and m from `phys`.
+    experiment on it reads hbar and m from `phys`.  Like `x` and `p`, the
+    transform kernel is computed once per grid and held read-only.
     """
 
     n_points: int
@@ -118,6 +119,17 @@ class Grid:
         ps = TWO_PI * self.hbar * np.fft.fftfreq(self.n_points, d=self.dx)
         ps.setflags(write=False)
         return ps
+
+    @cached_property
+    def _fourier_kernel(self) -> tuple[np.ndarray, np.ndarray]:
+        """(forward, inverse) factors of `fourier`: the forward one is
+        (dx/sqrt(2 pi hbar)) e^(-i p x_min/hbar), the inverse its conjugate."""
+        phase = np.exp(-1j * self.p * (self.x_min / self.hbar))
+        fwd = (self.dx * (1.0 / np.sqrt(TWO_PI * self.hbar))) * phase
+        inv = np.conj(phase)
+        fwd.setflags(write=False)
+        inv.setflags(write=False)
+        return fwd, inv
 
 
 def make_grid(n_points: int, x_min: float, x_max: float,
@@ -237,13 +249,18 @@ def fourier(field: WaveField, target: Rep) -> WaveField:
     if field.rep is target:
         raise GridError(f"field is already in the {target.value} representation")
     g = field.grid
-    scale = 1.0 / np.sqrt(TWO_PI * g.hbar)
-    phase = np.exp(-1j * g.p * (g.x_min / g.hbar))
+    fwd, inv = g._fourier_kernel
     if target is Rep.MOMENTUM:
-        out = (g.dx * scale) * phase * np.fft.fft(field.amplitudes)
+        # in place: no second n-point buffer, and the rounding numpy gives
+        # (dx * scale * phase) * fft once it elides that temporary (n >= 2^14);
+        # tests/test_core.py pins the two equal bit for bit
+        out = np.fft.fft(field.amplitudes)
+        np.multiply(fwd, out, out=out)
     else:
+        scale = 1.0 / np.sqrt(TWO_PI * g.hbar)
         out = (g.n_points * g.dp * scale) * np.fft.ifft(
-            np.conj(phase) * field.amplitudes)
+            inv * field.amplitudes)
+    out.setflags(write=False)
     return field.with_amplitudes(out, rep=target)
 
 

@@ -416,12 +416,11 @@ def overlap_scan(
         raise AirylabError("need at least two distinct separations for the fit")
 
     def scan(xi_val: float, t_val: float) -> np.ndarray:
-        out = []
-        for e in eps_list:
-            ca = CoherentParams(eps=eps_ref, xi=xi_val, t=t_val)
-            cb = CoherentParams(eps=e, xi=xi_val, t=t_val)
-            out.append(_pair_overlap(ca, cb, phys, quad_tol))
-        return np.asarray(out)
+        ca = CoherentParams(eps=eps_ref, xi=xi_val, t=t_val)
+        return np.asarray([
+            _pair_overlap(ca, CoherentParams(eps=e, xi=xi_val, t=t_val),
+                          phys, quad_tol)
+            for e in eps_list])
 
     base = scan(xi, t)
     shifted = scan(xi + xi_alt_offset, t)

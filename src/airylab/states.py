@@ -106,14 +106,17 @@ class BandTaper:
         return _smoothstep(u)
 
 
-def content_map(c: CoherentParams, phys: PhysParams, p: np.ndarray) -> np.ndarray:
+def content_map(c: CoherentParams, phys: PhysParams,
+                p: float | np.ndarray) -> float | np.ndarray:
     """Stationary-phase position reached by momentum component p.
 
     x(p) = -xi/m + t*p/m + eps*p^2/(2 m^2); the band planner and the
-    window choices of the experiments are all driven by this map.
+    window choices of the experiments are all driven by this map.  A
+    Python float maps to a float, anything else to an array.
     """
     m = phys.m
-    p = np.asarray(p, dtype=float)
+    if not isinstance(p, float):
+        p = np.asarray(p, dtype=float)
     return -c.xi / m + c.t * p / m + c.eps * p * p / (2.0 * m * m)
 
 
@@ -153,13 +156,12 @@ def fit_band(
         raise GeometryError("momentum margin exceeds the Nyquist band")
 
     def feasible(P: float) -> bool:
-        xs = [content_map(c, phys, np.array([-P, P]))]
+        ps = [-P, P]
         if c.eps != 0.0:
             p_vertex = -c.t * phys.m / c.eps
             if abs(p_vertex) <= P:
-                xs.append(content_map(c, phys, np.array([p_vertex])))
-        allx = np.concatenate(xs)
-        return bool(allx.min() >= x_lo and allx.max() <= x_hi)
+                ps.append(p_vertex)
+        return all(x_lo <= content_map(c, phys, q) <= x_hi for q in ps)
 
     # feasibility is an interval (0, P*]: the image endpoints move
     # monotonically outward with P, so bisection finds the edge

@@ -4,6 +4,8 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -296,10 +298,10 @@ class TestEmitSvg:
 
     def test_labels_are_escaped(self, tmp_path):
         path = tmp_path / "esc.svg"
-        emit_svg_plot([("a<b&c", np.array([0.0, 1.0]),
+        emit_svg_plot([("a<b&c>d&amp;", np.array([0.0, 1.0]),
                         np.array([0.0, 1.0]))], str(path))
         text = path.read_text()
-        assert "a&lt;b&amp;c" in text
+        assert ">a&lt;b&amp;c&gt;d&amp;amp;</text>" in text
         assert "a<b&c" not in text
 
     def test_degenerate_y_range_padded(self, tmp_path):
@@ -443,3 +445,18 @@ class TestRegistry:
         expected = direct(make_grid(grid["n"], grid["x_min"], grid["x_max"]))
         assert entry == json.loads(json.dumps(expected.to_dict()))
         assert code == (EXIT_OK if expected.passed else EXIT_TOLERANCE)
+
+
+def test_import_leaves_network_stack_unloaded():
+    # the SVG writer escapes its labels itself; xml.sax.saxutils would pull
+    # in urllib.request and with it http, email, ssl and socket
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; before = set(sys.modules); import airylab.cli; "
+            "new = set(sys.modules) - before; "
+            "heavy = {'urllib.request', 'http.client', 'email', 'ssl', 'socket'}; "
+            "sys.exit(sorted(heavy & new) or 0)")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

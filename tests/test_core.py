@@ -125,6 +125,56 @@ class TestFourier:
         assert fourier(shifted, Rep.MOMENTUM).time == 2.5
 
 
+def literal_fourier(amps, g, target):
+    """The transform written out with its phase built in place, in the
+    floating-point order that `fourier` reproduces."""
+    scale = 1.0 / np.sqrt(2.0 * np.pi * g.hbar)
+    phase = np.exp(-1j * g.p * (g.x_min / g.hbar))
+    if target is Rep.MOMENTUM:
+        return (g.dx * scale) * phase * np.fft.fft(amps)
+    return (g.n_points * g.dp * scale) * np.fft.ifft(np.conj(phase) * amps)
+
+
+class TestFourierKernel:
+    """The grid holds the transform kernel; `fourier` runs no exp of its own
+    and stays equal bit for bit to the literal expression."""
+
+    BOXES = [(-256.0, 256.0), (-37.3, 101.9)]
+
+    @pytest.mark.parametrize("n", [2 ** 12, 2 ** 13, 2 ** 14, 2 ** 16])
+    @pytest.mark.parametrize("phys", [PhysParams(), PhysParams(1.3, 0.7)])
+    @pytest.mark.parametrize("box", BOXES)
+    def test_matches_literal_expression(self, n, phys, box):
+        g = make_grid(n, *box, phys)
+        rng = np.random.default_rng(n)
+        amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for source, target in ((Rep.POSITION, Rep.MOMENTUM),
+                               (Rep.MOMENTUM, Rep.POSITION)):
+            out = fourier(WaveField(g, source, amps), target)
+            assert np.array_equal(out.amplitudes,
+                                  literal_fourier(amps, g, target))
+
+    def test_kernel_and_output_read_only(self, grid64):
+        fwd, inv = grid64._fourier_kernel
+        assert grid64._fourier_kernel[0] is fwd
+        assert not fwd.flags.writeable and not inv.flags.writeable
+        psi = gaussian_packet(GaussianParams(0.0, 0.5, 1.0), grid64)
+        for out in (fourier(psi, Rep.MOMENTUM),
+                    fourier(fourier(psi, Rep.MOMENTUM), Rep.POSITION)):
+            assert not out.amplitudes.flags.writeable
+            with pytest.raises(ValueError):
+                out.amplitudes[0] = 0.0
+
+    def test_cached_kernel_keeps_grid_equality(self):
+        a = make_grid(256, -8.0, 24.0, PhysParams(1.3, 0.7))
+        b = make_grid(256, -8.0, 24.0, PhysParams(1.3, 0.7))
+        a._fourier_kernel
+        assert a == b and hash(a) == hash(b)
+        psi = gaussian_packet(GaussianParams(8.0, 0.0, 1.0), a)
+        other = WaveField(b, Rep.POSITION, psi.amplitudes)
+        assert inner_product(psi, other) == pytest.approx(1.0, rel=1e-12)
+
+
 class TestWindows:
     def test_interior_fraction_bounds(self):
         with pytest.raises(ValueError):

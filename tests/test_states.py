@@ -287,6 +287,97 @@ class TestBandPlanning:
             GaussianParams(0.0, 0.0, -1.0)
 
 
+def array_fit_band(c, grid, *, x_margin=None, p_margin=None, taper_frac=0.15):
+    """Reference band fit: the same bisection with every content-map
+    evaluation done on numpy arrays."""
+    phys = grid.phys
+    if c.eps == 0.0 and c.t == 0.0:
+        raise GeometryError(
+            "eps = 0, t = 0 labels a grid delta; no band taper applies")
+    if x_margin is None:
+        if c.eps != 0.0:
+            scale = (phys.hbar ** 2 * abs(c.eps) / (2.0 * phys.m ** 2)) ** (1.0 / 3.0)
+        else:
+            scale = np.sqrt(phys.hbar * abs(c.t) / phys.m)
+        x_margin = 8.0 * grid.dx + 6.0 * scale
+    if p_margin is None:
+        p_margin = 8.0 * grid.dp
+    x_lo = grid.x_min + x_margin
+    x_hi = grid.x_max - x_margin
+    if not x_lo < x_hi:
+        raise GeometryError("margins exceed the box; enlarge the grid")
+    p_cap = grid.p_nyquist - p_margin
+    if p_cap <= 0:
+        raise GeometryError("momentum margin exceeds the Nyquist band")
+
+    def feasible(P):
+        xs = [content_map(c, phys, np.array([-P, P]))]
+        if c.eps != 0.0:
+            p_vertex = -c.t * phys.m / c.eps
+            if abs(p_vertex) <= P:
+                xs.append(content_map(c, phys, np.array([p_vertex])))
+        allx = np.concatenate(xs)
+        return bool(allx.min() >= x_lo and allx.max() <= x_hi)
+
+    if feasible(p_cap):
+        support = p_cap
+    else:
+        lo, hi = 0.0, p_cap
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if feasible(mid):
+                lo = mid
+            else:
+                hi = mid
+        support = lo
+    width = max(taper_frac * support, 16.0 * grid.dp)
+    plateau = support - width
+    if plateau < 8.0 * grid.dp:
+        raise GeometryError(
+            f"usable plateau collapsed ({plateau:.3g} < {8.0 * grid.dp:.3g}); "
+            "the state's content does not fit this grid")
+    return BandTaper(p_plateau=plateau, p_support=support)
+
+
+def test_fit_band_matches_array_bisection():
+    # scalar content-map evaluations give the same band, bit for bit, and
+    # the same GeometryError, as the array form
+    rng = np.random.default_rng(20261019)
+    grids = [make_grid(2048, -64.0, 64.0),
+             make_grid(4096, -37.3, 101.9, PhysParams(1.3, 0.7)),
+             make_grid(1024, -20.0, 12.0, PhysParams(0.6, 2.5))]
+    outcomes = {"band": 0, "error": 0}
+    for k in range(200):
+        g = grids[k % len(grids)]
+        eps = 0.0 if k % 10 == 0 else rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-2, 1)
+        c = CoherentParams(eps, rng.uniform(-40.0, 40.0),
+                           0.0 if k % 7 == 0 else rng.uniform(-3.0, 3.0))
+        kwargs = {}
+        if k % 3 == 0:
+            kwargs = {"x_margin": rng.uniform(0.5, 8.0),
+                      "p_margin": rng.uniform(0.0, 0.5) * g.p_nyquist}
+        try:
+            want = array_fit_band(c, g, **kwargs)
+        except GeometryError as exc:
+            with pytest.raises(GeometryError) as got:
+                fit_band(c, g, **kwargs)
+            assert str(got.value) == str(exc)
+            outcomes["error"] += 1
+            continue
+        got = fit_band(c, g, **kwargs)
+        assert (got.p_plateau, got.p_support) == (want.p_plateau, want.p_support)
+        outcomes["band"] += 1
+    assert min(outcomes.values()) >= 10
+
+
+def test_content_map_float_passes_through():
+    c = CoherentParams(-0.7, 1.9, 0.3)
+    phys = PhysParams(1.3, 0.7)
+    x = content_map(c, phys, 2.5)
+    assert type(x) is float
+    assert x == content_map(c, phys, np.array([2.5]))[0]
+
+
 class TestGaussian:
     def test_normalized_with_analytic_moments(self, grid64):
         g = GaussianParams(1.5, -0.8, 2.0)
