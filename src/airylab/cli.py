@@ -29,7 +29,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -545,8 +545,10 @@ def _execute(cfg: RunConfig, out_dir: str, echo, seed) -> tuple[bool, list]:
         "config": echo,
         "seed": seed,
     }
+    # a State/Evolve report echoes its state spec, whose band is a BandTaper
     _atomic_write_text(target("report"),
-                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
+                       json.dumps(payload, indent=2, sort_keys=True,
+                                  default=asdict) + "\n")
     return passed, artifacts
 
 

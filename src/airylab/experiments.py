@@ -5,6 +5,10 @@ family (eigenrelation residuals, peak-trajectory fits, overlap scans,
 basis Gram matrices, evolution identities, limit trends) and returns an
 ExperimentReport holding the measured metrics, the configuration that
 produced them, the tolerances they were judged against, and a pass flag.
+The body of an experiment returns only its metrics and config.  Its
+`@_experiment` declaration names each judged metric once, and the
+decorator builds the report: the tolerances are the bounds of the call,
+and the verdict follows the one rule stated on ExperimentReport.
 
 Geometry is always explicit: callers supply the grid, window, and band
 policy, so a report can be reproduced from its config dict alone.  The
@@ -17,11 +21,11 @@ momentum build; metrics inside the window probe the family itself.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .airy import airy_ai
 from .core import (
     AirylabError,
     GeometryError,
@@ -80,25 +84,65 @@ __all__ = [
 
 # first maximum of Ai, to the double nearest the true root of Ai'
 _AIRY_FIRST_PEAK = -1.0187929716474771
+# Ai(0) = 3^(-2/3) / Gamma(2/3), to the nearest double
+_AIRY_AI_ZERO = 0.3550280538878172
 
 # The experiments a config can name: name -> (parameter -> validator tag,
-# tolerance metric -> keyword).  It holds only what a signature cannot
-# say; the config runner in cli.py reads the rest from the signature: a
+# tolerance key -> keyword).  It holds only what a signature cannot say;
+# the config runner in cli.py reads the rest from the signature: a
 # parameter without a default is required, `c` takes the config's
 # perelomov state, `field` its built state, `grid` and `phys` its grid.
+# A bound fixed in the declaration (the limits' monotone flags) is not
+# listed, so a config cannot override it.
 EXPERIMENTS: dict[str, tuple[dict, dict]] = {}
 
 
-def _experiment(tolerances: dict, **params: str):
+def _meets(metrics: dict, key: str, bound) -> bool:
+    if isinstance(bound, bool):
+        return metrics[key] == bound
+    if key.endswith("_min"):
+        return metrics[key[:-4]] >= bound
+    return metrics[key] <= bound
+
+
+def _experiment(bounds: dict, **params: str):
+    """Register an experiment and build its report from its declaration.
+
+    `bounds` maps each tolerance key to the keyword-only parameter that
+    holds its bound, or to a fixed bool; `params` maps each config
+    parameter to its validator tag.  The decorated body returns
+    (metrics, config); the report's tolerances are the bound values of
+    this call, and it passes when every bound is met under the rule
+    stated on ExperimentReport.
+    """
+    keywords = {k: kw for k, kw in bounds.items() if isinstance(kw, str)}
+
     def register(fn):
-        EXPERIMENTS[fn.__name__] = (params, tolerances)
-        return fn
+        defaults = fn.__kwdefaults__
+
+        @functools.wraps(fn)
+        def run(*args, **kwargs):
+            metrics, config = fn(*args, **kwargs)
+            tolerances = {k: kwargs.get(kw, defaults[kw]) if k in keywords
+                          else kw for k, kw in bounds.items()}
+            return ExperimentReport(
+                fn.__name__, metrics, config, tolerances,
+                all(_meets(metrics, k, b) for k, b in tolerances.items()))
+        EXPERIMENTS[fn.__name__] = (params, keywords)
+        return run
     return register
 
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Outcome of one experiment: metrics, config, tolerances, verdict."""
+    """Outcome of one experiment: metrics, config, tolerances, verdict.
+
+    `passed` is derived from the experiment's declaration: each
+    `<metric>_min` tolerance is a lower bound (>=) on `<metric>`, each
+    other numeric tolerance an upper bound (<=) on the metric of the
+    same name, both inclusive, and a bool tolerance must equal its
+    metric exactly.
+    """
 
     name: str
     metrics: dict
@@ -190,15 +234,10 @@ def eigenrelation_residual(
     if denom == 0.0:
         raise GeometryError("state has no weight inside the window")
     r = windowed_norm(res, w) / denom
-    return ExperimentReport(
-        name="eigenrelation_residual",
-        metrics={"residual": float(r), "windowed_norm": float(denom)},
-        config={"params": _c_cfg(c), "xi_probe": probe, "grid": _grid_cfg(grid),
-                "phys": _phys_cfg(grid.phys), "window": _win_cfg(w),
-                "band": _band_cfg(band_r)},
-        tolerances={"residual": tol},
-        passed=bool(r <= tol),
-    )
+    return ({"residual": float(r), "windowed_norm": float(denom)},
+            {"params": _c_cfg(c), "xi_probe": probe, "grid": _grid_cfg(grid),
+             "phys": _phys_cfg(grid.phys), "window": _win_cfg(w),
+             "band": _band_cfg(band_r)})
 
 
 @_experiment({"rel_err": "tol_rel"}, taus="numlist", band="band")
@@ -238,17 +277,12 @@ def acceleration_fit(
     accel = float(theta[1])
     fit_resid = float(np.max(np.abs(design @ theta - peaks)))
     rel_err = abs(abs(accel) * abs(c.eps) - 1.0)
-    return ExperimentReport(
-        name="acceleration_fit",
-        metrics={"accel": accel, "accel_abs": abs(accel),
-                 "accel_expected_abs": 1.0 / abs(c.eps),
-                 "rel_err": float(rel_err), "fit_residual": fit_resid,
-                 "peaks": _floats(peaks), "taus": _floats(taus)},
-        config={"params": _c_cfg(c), "grid": _grid_cfg(grid),
-                "phys": _phys_cfg(grid.phys), "band": _band_cfg(band_r)},
-        tolerances={"rel_err": tol_rel},
-        passed=bool(rel_err <= tol_rel),
-    )
+    return ({"accel": accel, "accel_abs": abs(accel),
+             "accel_expected_abs": 1.0 / abs(c.eps),
+             "rel_err": float(rel_err), "fit_residual": fit_resid,
+             "peaks": _floats(peaks), "taus": _floats(taus)},
+            {"params": _c_cfg(c), "grid": _grid_cfg(grid),
+             "phys": _phys_cfg(grid.phys), "band": _band_cfg(band_r)})
 
 
 def density_shift_distortion(
@@ -301,15 +335,10 @@ def shape_distortion(
     mom0 = perelomov_state(c, Rep.MOMENTUM, grid, band=band_r)
     displacement = -((c.t + tau) ** 2 - c.t ** 2) / (2.0 * c.eps)
     d = density_shift_distortion(mom0, tau, displacement, w)
-    return ExperimentReport(
-        name="shape_distortion",
-        metrics={"distortion": float(d), "displacement": float(displacement)},
-        config={"params": _c_cfg(c), "tau": tau, "grid": _grid_cfg(grid),
-                "phys": _phys_cfg(grid.phys), "window": _win_cfg(w),
-                "band": _band_cfg(band_r)},
-        tolerances={"distortion": tol},
-        passed=bool(d <= tol),
-    )
+    return ({"distortion": float(d), "displacement": float(displacement)},
+            {"params": _c_cfg(c), "tau": tau, "grid": _grid_cfg(grid),
+             "phys": _phys_cfg(grid.phys), "window": _win_cfg(w),
+             "band": _band_cfg(band_r)})
 
 
 @_experiment({"fidelity_deficit": "tol_fidelity",
@@ -359,19 +388,12 @@ def evolution_equivalence(
     fidelity = abs(ip) / (na * nb)
     deficit = max(0.0, 1.0 - fidelity)
     phase = abs(float(np.angle(ip)))
-    ok = deficit <= tol_fidelity and phase <= tol_phase
-    return ExperimentReport(
-        name="evolution_equivalence",
-        metrics={"fidelity": float(fidelity), "fidelity_deficit": float(deficit),
-                 "phase_discrepancy": phase},
-        config={"params": _c_cfg(c), "tau": tau, "grid": _grid_cfg(grid),
-                "phys": _phys_cfg(grid.phys), "window": _win_cfg(w),
-                "band": _band_cfg(band_r),
-                "drop_cubic_phase": bool(drop_cubic_phase)},
-        tolerances={"fidelity_deficit": tol_fidelity,
-                    "phase_discrepancy": tol_phase},
-        passed=bool(ok),
-    )
+    return ({"fidelity": float(fidelity), "fidelity_deficit": float(deficit),
+             "phase_discrepancy": phase},
+            {"params": _c_cfg(c), "tau": tau, "grid": _grid_cfg(grid),
+             "phys": _phys_cfg(grid.phys), "window": _win_cfg(w),
+             "band": _band_cfg(band_r),
+             "drop_cubic_phase": bool(drop_cubic_phase)})
 
 
 def _pair_overlap(ca: CoherentParams, cb: CoherentParams,
@@ -430,27 +452,20 @@ def overlap_scan(
     exponent = float(slope)
     prefactor = float(np.mean(mags * np.abs(deltas) ** (1.0 / 3.0)))
     prefactor_expected = ((2.0 * hbar * m * m) ** (1.0 / 3.0)
-                          * airy_ai(0.0).value / (hbar * m))
+                          * _AIRY_AI_ZERO / (hbar * m))
     label_dep = float(np.max(np.abs(base - shifted)))
     exp_err = abs(exponent + 1.0 / 3.0)
-    ok = exp_err <= tol_exponent and label_dep <= tol_label_dep
-    return ExperimentReport(
-        name="overlap_scan",
-        metrics={"abs_overlaps": _floats(mags), "deltas": _floats(deltas),
-                 "exponent": exponent, "exponent_err": float(exp_err),
-                 "prefactor": prefactor,
-                 "prefactor_expected": float(prefactor_expected),
-                 "prefactor_rel_err": float(
-                     abs(prefactor / prefactor_expected - 1.0)),
-                 "label_dependence": label_dep,
-                 "intercept": float(intercept)},
-        config={"eps_list": _floats(eps_list), "eps_ref": eps_ref,
-                "xi": xi, "t": t, "phys": _phys_cfg(phys),
-                "quad_tol": quad_tol, "xi_alt_offset": xi_alt_offset},
-        tolerances={"exponent_err": tol_exponent,
-                    "label_dependence": tol_label_dep},
-        passed=bool(ok),
-    )
+    return ({"abs_overlaps": _floats(mags), "deltas": _floats(deltas),
+             "exponent": exponent, "exponent_err": float(exp_err),
+             "prefactor": prefactor,
+             "prefactor_expected": float(prefactor_expected),
+             "prefactor_rel_err": float(
+                 abs(prefactor / prefactor_expected - 1.0)),
+             "label_dependence": label_dep,
+             "intercept": float(intercept)},
+            {"eps_list": _floats(eps_list), "eps_ref": eps_ref,
+             "xi": xi, "t": t, "phys": _phys_cfg(phys),
+             "quad_tol": quad_tol, "xi_alt_offset": xi_alt_offset})
 
 
 @_experiment({"diag_flatness": "tol_diag",
@@ -511,7 +526,10 @@ def basis_orthonormality(
     off = np.abs(gram - np.diag(np.diag(gram)))
     diag_flatness = float(np.max(np.abs(diag * delta_xi - 1.0)))
     max_off = float(np.max(off))
-    suppression = float(np.min(diag) / max(max_off, np.finfo(float).tiny))
+    with np.errstate(over="ignore"):
+        # an off-diagonal of exactly 0 (always at n_states = 1) is
+        # suppressed without bound
+        suppression = float(np.min(diag) / max(max_off, np.finfo(float).tiny))
 
     probe = probe if probe is not None else GaussianParams(0.0, 0.0, 1.0)
     probe_m = to_rep(gaussian_packet(probe, grid), Rep.MOMENTUM)
@@ -524,24 +542,15 @@ def basis_orthonormality(
     ref = probe_m.amplitudes * np.sqrt(ww)
     recon_err = float(np.linalg.norm(diff) / np.linalg.norm(ref))
 
-    ok = (diag_flatness <= tol_diag and suppression >= min_suppression
-          and recon_err <= tol_recon)
-    return ExperimentReport(
-        name="basis_orthonormality",
-        metrics={"diag_flatness": diag_flatness,
-                 "offdiag_suppression": suppression,
-                 "reconstruction_err": recon_err,
-                 "delta_xi": float(delta_xi), "window_points": m_pts},
-        config={"eps": eps, "t": t, "n_states": n_states,
-                "window_fraction": window_fraction,
-                "sum_taper_frac": sum_taper_frac, "grid": _grid_cfg(grid),
-                "phys": _phys_cfg(grid.phys),
-                "probe": {"x0": probe.x0, "p0": probe.p0, "sigma": probe.sigma}},
-        tolerances={"diag_flatness": tol_diag,
-                    "offdiag_suppression_min": min_suppression,
-                    "reconstruction_err": tol_recon},
-        passed=bool(ok),
-    )
+    return ({"diag_flatness": diag_flatness,
+             "offdiag_suppression": suppression,
+             "reconstruction_err": recon_err,
+             "delta_xi": float(delta_xi), "window_points": m_pts},
+            {"eps": eps, "t": t, "n_states": n_states,
+             "window_fraction": window_fraction,
+             "sum_taper_frac": sum_taper_frac, "grid": _grid_cfg(grid),
+             "phys": _phys_cfg(grid.phys),
+             "probe": {"x0": probe.x0, "p0": probe.p0, "sigma": probe.sigma}})
 
 
 @_experiment({"drift": "tol"}, taus="numlist", window="window")
@@ -569,16 +578,11 @@ def k_expectation_series(
             raise GeometryError("no weight inside the window")
         values.append(float(np.real(inner_product(evolved, kf, w)) / norm2))
     drift = float(np.max(np.abs(np.asarray(values) - values[0])))
-    return ExperimentReport(
-        name="k_expectation_series",
-        metrics={"k_values": _floats(values), "k_initial": values[0],
-                 "drift": drift},
-        config={"taus": _floats(taus), "field_time": field.time,
-                "grid": _grid_cfg(field.grid), "phys": _phys_cfg(field.grid.phys),
-                "window": _win_cfg(w)},
-        tolerances={"drift": tol},
-        passed=bool(drift <= tol),
-    )
+    return ({"k_values": _floats(values), "k_initial": values[0],
+             "drift": drift},
+            {"taus": _floats(taus), "field_time": field.time,
+             "grid": _grid_cfg(field.grid), "phys": _phys_cfg(field.grid.phys),
+             "window": _win_cfg(w)})
 
 
 @_experiment({"residual": "tol"}, v="num", tau="num", window="window")
@@ -607,15 +611,14 @@ def boost_covariance_residual(
     diff = a.with_amplitudes(a.amplitudes - b.amplitudes)
     resid = windowed_norm(diff, w) / na
     time_skew = abs(a.time - b.time)
-    return ExperimentReport(
-        name="boost_covariance_residual",
-        metrics={"residual": float(resid), "time_skew": float(time_skew)},
-        config={"v": v, "tau": tau, "field_time": field.time,
-                "grid": _grid_cfg(field.grid), "phys": _phys_cfg(field.grid.phys),
-                "window": _win_cfg(w)},
-        tolerances={"residual": tol},
-        passed=bool(resid <= tol and time_skew == 0.0),
-    )
+    if time_skew != 0.0:
+        # both orderings reach field.time + tau by the same float addition
+        raise AirylabError(
+            f"boost and evolution orderings end {time_skew:g} apart in time")
+    return ({"residual": float(resid), "time_skew": float(time_skew)},
+            {"v": v, "tau": tau, "field_time": field.time,
+             "grid": _grid_cfg(field.grid), "phys": _phys_cfg(field.grid.phys),
+             "window": _win_cfg(w)})
 
 
 @_experiment({"coeff_rel_err": "tol_coeff",
@@ -671,24 +674,17 @@ def berry_balazs_trajectory(
     distortion_max = float(np.max(distortions))
 
     x0_expected = _AIRY_FIRST_PEAK * hbar ** (2.0 / 3.0) / B
-    ok = coeff_rel_err <= tol_coeff and distortion_max <= tol_distortion
-    return ExperimentReport(
-        name="berry_balazs_trajectory",
-        metrics={"peaks": _floats(peaks), "times": _floats(ts),
-                 "coeff": coeff, "coeff_expected": float(coeff_expected),
-                 "coeff_rel_err": float(coeff_rel_err),
-                 "intercept": float(theta[0]),
-                 "intercept_expected": float(x0_expected),
-                 "distortions": _floats(distortions),
-                 "distortion_max": distortion_max,
-                 "family_coeff_rel_diff": float(family_coeff_rel_diff)},
-        config={"B": B, "t_list": _floats(ts), "grid": _grid_cfg(grid),
-                "phys": _phys_cfg(grid.phys), "window": _win_cfg(w),
-                "band": _band_cfg(band_r), "family_eps": c.eps},
-        tolerances={"coeff_rel_err": tol_coeff,
-                    "distortion_max": tol_distortion},
-        passed=bool(ok),
-    )
+    return ({"peaks": _floats(peaks), "times": _floats(ts),
+             "coeff": coeff, "coeff_expected": float(coeff_expected),
+             "coeff_rel_err": float(coeff_rel_err),
+             "intercept": float(theta[0]),
+             "intercept_expected": float(x0_expected),
+             "distortions": _floats(distortions),
+             "distortion_max": distortion_max,
+             "family_coeff_rel_diff": float(family_coeff_rel_diff)},
+            {"B": B, "t_list": _floats(ts), "grid": _grid_cfg(grid),
+             "phys": _phys_cfg(grid.phys), "window": _win_cfg(w),
+             "band": _band_cfg(band_r), "family_eps": c.eps})
 
 
 @_experiment({"sup_rel": "tol"}, window="window", band="band")
@@ -718,19 +714,14 @@ def representation_crosscheck(
     sup_rel = float(np.max(diff) / scale)
     dd = closed.with_amplitudes(closed.amplitudes - via_fft.amplitudes)
     l2_rel = windowed_norm(dd, w) / windowed_norm(closed, w)
-    return ExperimentReport(
-        name="representation_crosscheck",
-        metrics={"sup_rel": sup_rel, "l2_rel": float(l2_rel)},
-        config={"params": _c_cfg(c), "grid": _grid_cfg(grid),
-                "phys": _phys_cfg(grid.phys), "window": _win_cfg(w),
-                "band": _band_cfg(band_r)},
-        tolerances={"sup_rel": tol},
-        passed=bool(sup_rel <= tol),
-    )
+    return ({"sup_rel": sup_rel, "l2_rel": float(l2_rel)},
+            {"params": _c_cfg(c), "grid": _grid_cfg(grid),
+             "phys": _phys_cfg(grid.phys), "window": _win_cfg(w),
+             "band": _band_cfg(band_r)})
 
 
-@_experiment({}, eps_seq="numlist", xi="num", t="num", window="window",
-             band="band")
+@_experiment({"monotone_decreasing": True},
+             eps_seq="numlist", xi="num", t="num", window="window", band="band")
 def eps_to_zero_limit(
     eps_seq,
     xi: float,
@@ -761,18 +752,14 @@ def eps_to_zero_limit(
         diff = psi.with_amplitudes(psi.amplitudes - ref.amplitudes)
         errors.append(windowed_norm(diff, w) / ref_norm)
     monotone = all(a > b for a, b in zip(errors, errors[1:]))
-    return ExperimentReport(
-        name="eps_to_zero_limit",
-        metrics={"errors": _floats(errors), "eps_seq": _floats(eps_seq),
-                 "monotone_decreasing": bool(monotone)},
-        config={"xi": xi, "t": t, "grid": _grid_cfg(grid),
-                "phys": _phys_cfg(grid.phys), "window": _win_cfg(w)},
-        tolerances={"monotone_decreasing": True},
-        passed=bool(monotone),
-    )
+    return ({"errors": _floats(errors), "eps_seq": _floats(eps_seq),
+             "monotone_decreasing": bool(monotone)},
+            {"xi": xi, "t": t, "grid": _grid_cfg(grid),
+             "phys": _phys_cfg(grid.phys), "window": _win_cfg(w)})
 
 
-@_experiment({}, eps_seq="numlist", tau="num", window="window", band="band")
+@_experiment({"monotone_increasing": True},
+             eps_seq="numlist", tau="num", window="window", band="band")
 def eps_to_infinity_fidelity(
     eps_seq,
     tau: float,
@@ -802,15 +789,10 @@ def eps_to_infinity_fidelity(
         fidelities.append(abs(ip) / (windowed_norm(psi0, w)
                                      * windowed_norm(psi_tau, w)))
     monotone = all(a < b for a, b in zip(fidelities, fidelities[1:]))
-    return ExperimentReport(
-        name="eps_to_infinity_fidelity",
-        metrics={"fidelities": _floats(fidelities), "eps_seq": _floats(eps_seq),
-                 "monotone_increasing": bool(monotone)},
-        config={"tau": tau, "grid": _grid_cfg(grid),
-                "phys": _phys_cfg(grid.phys), "window": _win_cfg(w)},
-        tolerances={"monotone_increasing": True},
-        passed=bool(monotone),
-    )
+    return ({"fidelities": _floats(fidelities), "eps_seq": _floats(eps_seq),
+             "monotone_increasing": bool(monotone)},
+            {"tau": tau, "grid": _grid_cfg(grid),
+             "phys": _phys_cfg(grid.phys), "window": _win_cfg(w)})
 
 
 @_experiment({"max_rel_err": "tol"}, window="window", probe="probe")
@@ -877,12 +859,7 @@ def commutator_table(
         metrics[name] = float(err)
     max_rel = max(metrics.values())
     metrics["max_rel_err"] = float(max_rel)
-    return ExperimentReport(
-        name="commutator_table",
-        metrics=metrics,
-        config={"grid": _grid_cfg(grid), "phys": _phys_cfg(grid.phys),
-                "window": _win_cfg(w),
-                "probe": {"x0": probe.x0, "p0": probe.p0, "sigma": probe.sigma}},
-        tolerances={"max_rel_err": tol},
-        passed=bool(max_rel <= tol),
-    )
+    return (metrics,
+            {"grid": _grid_cfg(grid), "phys": _phys_cfg(grid.phys),
+             "window": _win_cfg(w),
+             "probe": {"x0": probe.x0, "p0": probe.p0, "sigma": probe.sigma}})

@@ -263,6 +263,10 @@ def xi_eigenstate_x(xi: float, t: float, grid: Grid) -> WaveField:
             "t = 0 makes the chirp prefactor singular; build "
             "perelomov_state with eps = 0 in the momentum representation instead")
     hbar, m = grid.phys.hbar, grid.phys.m
+    x_far = max(abs(grid.x_min), abs(grid.x_max))
+    if not np.isfinite((m * x_far * x_far / 2.0 + abs(xi) * x_far)
+                       / abs(t) / hbar):
+        raise GeometryError(f"the chirp phase overflows on this box at t = {t:g}")
     x = grid.x
     amps = np.exp(1j * (m * x * x / (2.0 * t) + xi * x / t) / hbar) / np.sqrt(
         TWO_PI * hbar * abs(t))
@@ -312,6 +316,10 @@ def perelomov_state(
             raise AirylabError(
                 "eps = 0, t = 0 in position representation is a delta "
                 "distribution; build it in the momentum representation")
+        u_far = max(abs(grid.x_min + c.xi / m), abs(grid.x_max + c.xi / m))
+        if not np.isfinite(m * u_far * u_far / 2.0 / abs(c.t) / hbar):
+            raise GeometryError(
+                f"the chirp phase overflows on this box at t = {c.t:g}")
         u = x + c.xi / m
         amps = np.exp(-1j * np.sign(c.t) * np.pi / 4.0) * np.exp(
             1j * m * u * u / (2.0 * c.t) / hbar) / np.sqrt(TWO_PI * hbar * abs(c.t))

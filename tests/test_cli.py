@@ -212,6 +212,20 @@ class TestCommands:
                             float(r["density"]))
             assert rho == pytest.approx(re_ * re_ + im * im, rel=1e-12)
 
+    def test_state_report_echoes_band_edges(self, tmp_path):
+        data = {
+            "command": "State",
+            "grid": {"n": 256, "x_min": -32.0, "x_max": 32.0},
+            "state": {"kind": "perelomov", "eps": 1.0,
+                      "band": {"p_plateau": 2.0, "p_support": 3.0}},
+        }
+        code, artifacts = run_config(write_config(tmp_path, data),
+                                     str(tmp_path / "out"))
+        assert code == EXIT_OK
+        report = load_json(artifacts[-1])["reports"][0]
+        assert report["config"]["band"] == {"p_plateau": 2.0,
+                                            "p_support": 3.0}
+
     def test_evolve_trajectory(self, tmp_path):
         data = {
             "command": "Evolve",
@@ -418,6 +432,18 @@ PARITY = {
 }
 
 
+def _verify_parity(tmp_path, name, tols):
+    grid, state, params, _, _ = PARITY[name]
+    data = {"command": "Verify", "grid": grid,
+            "experiment": {"name": name, "parameters": params,
+                           "tolerances": tols}}
+    if state is not None:
+        data["state"] = state
+    code, artifacts = run_config(write_config(tmp_path, data),
+                                 str(tmp_path / "out"))
+    return code, load_json(artifacts[0])["reports"][0]
+
+
 class TestRegistry:
     def test_names_match_readme(self):
         with open(os.path.join(os.path.dirname(__file__), os.pardir,
@@ -445,6 +471,48 @@ class TestRegistry:
         expected = direct(make_grid(grid["n"], grid["x_min"], grid["x_max"]))
         assert entry == json.loads(json.dumps(expected.to_dict()))
         assert code == (EXIT_OK if expected.passed else EXIT_TOLERANCE)
+        # every declared bound judges a metric the experiment returns
+        assert set(experiments.EXPERIMENTS[name][1]) <= set(entry["tolerances"])
+        for key in entry["tolerances"]:
+            assert key.removesuffix("_min") in entry["metrics"]
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n in PARITY if experiments.EXPERIMENTS[n][1]))
+    def test_each_bound_is_inclusive_and_directed(self, tmp_path, name):
+        # a bound set to exactly its metric passes; one ulp to the failing
+        # side fails: `<metric>_min` from below, every other key from above
+        keys = experiments.EXPERIMENTS[name][1]
+        loose = {k: -1e300 if k.endswith("_min") else 1e300 for k in keys}
+        code, entry = _verify_parity(tmp_path, name, loose)
+        assert code == EXIT_OK and entry["passed"] is True
+        for key in keys:
+            metric = entry["metrics"][key.removesuffix("_min")]
+            failing = np.inf if key.endswith("_min") else -np.inf
+            for bound, ok in ((metric, True),
+                              (float(np.nextafter(metric, failing)), False)):
+                code, judged = _verify_parity(tmp_path, name,
+                                              dict(loose, **{key: bound}))
+                assert judged["tolerances"][key] == bound
+                assert judged["metrics"] == entry["metrics"]
+                assert judged["passed"] is ok, (key, bound)
+                assert code == (EXIT_OK if ok else EXIT_TOLERANCE)
+
+    @pytest.mark.parametrize("name,key", [
+        ("eps_to_zero_limit", "monotone_decreasing"),
+        ("eps_to_infinity_fidelity", "monotone_increasing"),
+    ])
+    def test_limit_bounds_are_fixed(self, tmp_path, capsys, name, key):
+        grid, state, params, _, direct = PARITY[name]
+        assert direct(make_grid(grid["n"], grid["x_min"],
+                                grid["x_max"])).tolerances == {key: True}
+        data = {"command": "Verify", "grid": grid,
+                "experiment": {"name": name, "parameters": params,
+                               "tolerances": {key: 1.0}}}
+        code, artifacts = run_config(write_config(tmp_path, data),
+                                     str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG and artifacts == []
+        assert err.startswith("error: unknown key(s)") and key in err
 
 
 def test_import_leaves_network_stack_unloaded():

@@ -1,8 +1,9 @@
 """Config fuzz: strategies built from the experiment registry.
 
-Valid configs must end in one of the documented exit codes with no
-traceback; a config with one schema violation must exit 2 before any
-computation.
+Valid configs of every command (Verify, Scan, State, Evolve) must end
+in one of the documented exit codes with no traceback; a config with
+one schema violation must exit 2 before any computation, and an output
+path that cannot be written must exit 3.
 """
 
 import contextlib
@@ -13,11 +14,11 @@ import json
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from airylab import experiments
-from airylab.cli import EXIT_CONFIG, run_config
+from airylab.cli import EXIT_CONFIG, EXIT_IO, run_config
 
 NAMES = sorted(experiments.EXPERIMENTS)
 
@@ -64,30 +65,69 @@ def _required(name):
             is inspect.Parameter.empty]
 
 
-@st.composite
-def valid_configs(draw):
-    name = draw(st.sampled_from(NAMES))
+def _spec(draw, name):
+    """A registry-drawn experiment spec with random tolerance overrides."""
     tags, tol_map = experiments.EXPERIMENTS[name]
     required = _required(name)
     params = {k: draw(VALUES[tag]) for k, tag in tags.items()
               if k in required or draw(st.booleans())}
     tols = {k: draw(st.floats(1e-12, 1.0)) for k in tol_map
             if draw(st.booleans())}
+    return {"name": name, "parameters": params, "tolerances": tols}
+
+
+def _grid(draw):
     # grid.n stays at or below 2^12: every draw is a real allocation
     lo = draw(st.floats(-128.0, -1.0))
-    cfg = {"command": "Verify",
-           "grid": {"n": 2 ** draw(st.integers(3, 12)), "x_min": lo,
-                    "x_max": draw(st.floats(1.0, 128.0))},
-           "experiment": {"name": name, "parameters": params,
-                          "tolerances": tols}}
+    return {"n": 2 ** draw(st.integers(3, 12)), "x_min": lo,
+            "x_max": draw(st.floats(1.0, 128.0))}
+
+
+def _phys(draw, cfg):
+    if draw(st.booleans()):
+        cfg["phys"] = {"hbar": draw(positive), "m": draw(positive)}
+    return cfg
+
+
+@st.composite
+def valid_configs(draw):
+    name = draw(st.sampled_from(NAMES))
+    spec = _spec(draw, name)
+    cfg = {"command": "Verify", "grid": _grid(draw), "experiment": spec}
     signature = _signature(name)
     if "c" in signature:
         cfg["state"] = draw(PERELOMOV)
     elif "field" in signature or draw(st.booleans()):
         cfg["state"] = draw(STATES)
+    return _phys(draw, cfg)
+
+
+@st.composite
+def scan_configs(draw):
+    """Two or three registry-drawn experiments on one perelomov state."""
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=2, max_size=3))
+    cfg = {"command": "Scan", "grid": _grid(draw), "state": draw(PERELOMOV),
+           "experiments": [_spec(draw, name) for name in names]}
+    return _phys(draw, cfg)
+
+
+@st.composite
+def state_configs(draw):
+    """State and Evolve configs, with or without an SVG plot."""
+    cfg = {"command": draw(st.sampled_from(["State", "Evolve"])),
+           "grid": _grid(draw), "state": draw(STATES)}
+    if cfg["command"] == "Evolve":
+        cfg["evolve"] = {"taus": draw(VALUES["numlist"])}
     if draw(st.booleans()):
-        cfg["phys"] = {"hbar": draw(positive), "m": draw(positive)}
-    return cfg
+        cfg["output"] = {"svg": "plot.svg"}
+    return _phys(draw, cfg)
+
+
+ANY_CONFIG = st.one_of(valid_configs(), scan_configs(), state_configs())
+# the artifacts each command writes, in the order it writes them
+WRITES = {"Verify": ("report",), "Scan": ("report",),
+          "State": ("csv", "report"),
+          "Evolve": ("csv", "trajectory_csv", "report")}
 
 
 def _mutations(cfg):
@@ -127,15 +167,21 @@ def _mutations(cfg):
     return out
 
 
-def _run(cfg):
+def _run(cfg, blocked=None):
+    """Run cfg; `blocked` names an output moved under the config file
+    itself, a path that cannot be created even by root."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.json")
+        if blocked is not None:
+            cfg = copy.deepcopy(cfg)
+            cfg.setdefault("output", {})[blocked] = os.path.join(
+                path, "artifact")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(cfg, fh)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code, _ = run_config(path, os.path.join(tmp, "out"))
-    return code, err.getvalue()
+            code, artifacts = run_config(path, os.path.join(tmp, "out"))
+    return code, err.getvalue(), artifacts
 
 
 FUZZ = settings(derandomize=True, deadline=None, database=None,
@@ -145,9 +191,34 @@ FUZZ = settings(derandomize=True, deadline=None, database=None,
 @settings(FUZZ, max_examples=40)
 @given(valid_configs())
 def test_valid_configs_keep_the_exit_contract(cfg):
-    code, err = _run(cfg)
+    code, err, _ = _run(cfg)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+
+
+@settings(FUZZ, max_examples=30)
+@given(st.one_of(scan_configs(), state_configs()))
+@example({"command": "State", "grid": {"n": 8, "x_min": -3.0, "x_max": 1.0},
+          "state": {"kind": "xi_eigenstate", "xi": -2.0,
+                    "t": 5.186069348858173e-308}})
+def test_scan_state_evolve_keep_the_exit_contract(cfg):
+    code, err, _ = _run(cfg)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+@settings(FUZZ, max_examples=40)
+@given(ANY_CONFIG, st.data())
+def test_unwritable_output_exits_3(cfg, data):
+    blocked = data.draw(st.sampled_from(WRITES[cfg["command"]]))
+    code, err, artifacts = _run(cfg, blocked)
+    assert "Traceback" not in err
+    if code != EXIT_IO:
+        # the run stopped before that artifact: as it does when writable
+        free_code, free_err, free_artifacts = _run(cfg)
+        assert (code, err) == (free_code, free_err) and not free_artifacts
+    else:
+        assert err.startswith("error: I/O failure") and artifacts == []
 
 
 @settings(FUZZ, max_examples=60)
@@ -156,6 +227,6 @@ def test_one_violation_exits_2(cfg, data):
     mutate = data.draw(st.sampled_from(_mutations(cfg)))
     bad = copy.deepcopy(cfg)
     mutate(bad)
-    code, err = _run(bad)
+    code, err, _ = _run(bad)
     assert code == EXIT_CONFIG, (mutate.__name__, bad)
     assert err.startswith("error: ") and "Traceback" not in err

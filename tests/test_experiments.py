@@ -5,10 +5,13 @@ that must fail or raise, so a silently broken metric cannot stay green.
 The large-grid, tight-tolerance runs live in the acceptance suite.
 """
 
+import inspect
 import json
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from airylab import (
     AirylabError,
@@ -19,13 +22,16 @@ from airylab import (
     PhysParams,
     Rep,
     Window,
+    experiments,
     gaussian_packet,
     inner_product,
     make_grid,
     perelomov_state,
     to_rep,
 )
+from airylab.airy import airy_ai
 from airylab.experiments import (
+    _AIRY_AI_ZERO,
     ExperimentReport,
     _pair_overlap,
     acceleration_fit,
@@ -59,6 +65,16 @@ class TestReportShape:
         assert set(d) == {"name", "metrics", "config", "tolerances", "passed"}
         assert d["config"]["grid"]["n_points"] == 4096
         assert d["tolerances"]["residual"] == 1e-6
+
+    def test_wrapper_keeps_name_and_signature(self):
+        # the CLI and the config fuzz read each experiment's parameters
+        # from inspect.signature, through the verdict wrapper
+        for name in experiments.EXPERIMENTS:
+            fn = getattr(experiments, name)
+            assert fn.__name__ == name
+            assert inspect.signature(fn) == inspect.signature(fn.__wrapped__)
+        keywords = inspect.signature(eigenrelation_residual).parameters
+        assert keywords["tol"].kind is inspect.Parameter.KEYWORD_ONLY
 
 
 class TestEigenrelation:
@@ -195,10 +211,25 @@ class TestOverlapScan:
         assert (abs(on_grid - quad) <= 1e-10 * abs(quad)) == resolved
 
 
+class TestOverlapPrefactor:
+    def test_airy_ai_zero_constant(self):
+        # Ai(0) = 3^(-2/3) / Gamma(2/3), rounded once to a double
+        with mpmath.workdps(40):
+            third = mpmath.mpf(1) / 3
+            closed = float(mpmath.power(3, -2 * third)
+                           / mpmath.gamma(2 * third))
+        assert _AIRY_AI_ZERO == closed == airy_ai(0.0).value
+        assert _AIRY_AI_ZERO == special.airy(0.0)[0]
+
+
 class TestBasisOrthonormality:
     def test_empty_lattice_rejected(self, grid64):
         with pytest.raises(AirylabError, match="n_states"):
             basis_orthonormality(1.0, 0.0, grid64, n_states=0)
+
+    def test_single_state_has_unbounded_suppression(self, grid64):
+        r = basis_orthonormality(1.0, 0.0, grid64, n_states=1)
+        assert r.metrics["offdiag_suppression"] == np.inf
 
     def test_gram_and_reconstruction(self, grid64):
         r = basis_orthonormality(1.0, 0.0, grid64)
@@ -223,6 +254,22 @@ class TestConservationAndCovariance:
         assert r.passed
         assert r.metrics["residual"] < 1e-12
         assert r.metrics["time_skew"] == 0.0
+
+    def test_time_skew_raises(self, grid64, monkeypatch):
+        # both orderings end at field.time + tau; a skew is a broken
+        # invariant, not a failed tolerance
+        probe = gaussian_packet(GaussianParams(0.0, 0.7, 1.5), grid64)
+        real, calls = experiments.free_evolve, []
+
+        def skewed(field, tau):
+            out = real(field, tau)
+            calls.append(tau)
+            skew = 1e-9 if len(calls) == 2 else 0.0
+            return out.with_amplitudes(out.amplitudes, time=out.time + skew)
+
+        monkeypatch.setattr(experiments, "free_evolve", skewed)
+        with pytest.raises(AirylabError, match="apart in time"):
+            boost_covariance_residual(probe, 0.8, 0.7, w=Window.rect(0.5))
 
     def test_commutator_table(self, grid64):
         r = commutator_table(grid64, w=Window.rect(0.5))

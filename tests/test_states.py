@@ -125,6 +125,14 @@ class TestPerelomovDegenerate:
         with pytest.raises(AirylabError, match="eps = 0"):
             xi_eigenstate_x(0.0, 0.0, grid64)
 
+    def test_xi_eigenstate_phase_overflow_is_a_geometry_error(self):
+        # m x^2/2t overflows before any element is formed; found by the
+        # config fuzz as a numpy overflow warning
+        grid = make_grid(8, -3.0, 1.0)
+        with pytest.raises(GeometryError, match="overflows"):
+            xi_eigenstate_x(-2.0, 5.186069348858173e-308, grid)
+        assert np.all(np.isfinite(xi_eigenstate_x(-2.0, 1e-300, grid).amplitudes))
+
 
 class TestPerelomovMomentum:
     def test_banded_amplitudes(self, grid64):
