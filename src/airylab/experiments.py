@@ -260,7 +260,10 @@ def acceleration_fit(
     taus = np.asarray(sorted(float(t) for t in taus), dtype=float)
     if taus.size < 3:
         raise AirylabError("need at least three sample times for the fit")
-    travel = (taus.max() ** 2 - taus.min() ** 2) / (2.0 * abs(c.eps))
+    lo, hi = float(taus.min()), float(taus.max())
+    travel = (hi * hi - lo * lo) / (2.0 * abs(c.eps))
+    if not np.isfinite(travel):
+        raise GeometryError(f"expected peak travel overflows at eps = {c.eps:g}")
     if travel < 20.0 * grid.dx:
         raise GeometryError(
             f"expected peak travel {travel:.3g} spans fewer than 20 grid "
@@ -297,14 +300,18 @@ def density_shift_distortion(
     returns sum w |rho_tau - rho_shifted| / sum w rho_0.  Zero means the
     evolution only displaced the profile.
     """
-    w = _default_window(w)
-    pos0 = to_rep(field, Rep.POSITION)
     pos_tau = to_rep(free_evolve(field, float(tau)), Rep.POSITION)
-    ref = to_rep(translate(pos0, float(shift)), Rep.POSITION)
-    ww = window_weights(field.grid, w, Rep.POSITION)
-    rho0 = pos0.density()
+    ww = window_weights(field.grid, _default_window(w), Rep.POSITION)
+    return _shift_distortion(to_rep(field, Rep.POSITION), pos_tau, shift, ww)
+
+
+def _shift_distortion(pos0: WaveField, pos_tau: WaveField, shift: float,
+                      ww: np.ndarray) -> float:
+    """density_shift_distortion from the position fields it compares and
+    the window weights, so a caller that already holds them reuses them."""
+    ref = to_rep(translate(pos0, shift), Rep.POSITION)
     num = float(np.sum(ww * np.abs(pos_tau.density() - ref.density())))
-    den = float(np.sum(ww * rho0))
+    den = float(np.sum(ww * pos0.density()))
     if den == 0.0:
         raise GeometryError("reference density has no weight inside the window")
     return num / den
@@ -662,13 +669,16 @@ def berry_balazs_trajectory(
     c = CoherentParams(eps=-2.0 * m * m / B ** 3, xi=0.0, t=0.0)
     band_r = _plan_band(c, [0.0, ts.max()], grid, band)
     mom0 = perelomov_state(c, Rep.MOMENTUM, grid, band=band_r)
+    # each member is evolved once for both its distortion and its peak
+    pos0 = to_rep(mom0, Rep.POSITION)
+    ww = window_weights(grid, w, Rep.POSITION)
     distortions = []
     fam_peaks = []
     for t in t_list:
-        shift = -t * t / (2.0 * c.eps)
-        distortions.append(density_shift_distortion(mom0, t, shift, w))
-        fam_peaks.append(_parabolic_peak(
-            to_rep(free_evolve(mom0, t), Rep.POSITION)))
+        evolved = to_rep(free_evolve(mom0, t), Rep.POSITION)
+        distortions.append(
+            _shift_distortion(pos0, evolved, -t * t / (2.0 * c.eps), ww))
+        fam_peaks.append(_parabolic_peak(evolved))
     theta_f, *_ = np.linalg.lstsq(design, np.asarray(fam_peaks), rcond=None)
     family_coeff_rel_diff = abs(float(theta_f[1]) / coeff_expected - 1.0)
     distortion_max = float(np.max(distortions))

@@ -324,11 +324,17 @@ def perelomov_state(
         amps = np.exp(-1j * np.sign(c.t) * np.pi / 4.0) * np.exp(
             1j * m * u * u / (2.0 * c.t) / hbar) / np.sqrt(TWO_PI * hbar * abs(c.t))
         return WaveField(grid=grid, rep=Rep.POSITION, amplitudes=amps, time=c.t)
-    cube = np.sign(c.eps) * (2.0 * hbar * m * m / abs(c.eps)) ** (1.0 / 3.0)
+    cube = float(np.copysign((2.0 * hbar * m * m / abs(c.eps)) ** (1.0 / 3.0), c.eps))
+    # bound |arg| in scalars first: the array product would overflow noisily
+    shift = c.xi / m + c.t * c.t / (2.0 * c.eps)
+    if not np.isfinite((cube / hbar) * max(abs(grid.x_min + shift),
+                                           abs(grid.x_max + shift))):
+        raise GeometryError(
+            f"the Airy argument overflows on this box at eps = {c.eps:g}")
     arg = -(cube / hbar) * (x + c.xi / m + c.t * c.t / (2.0 * c.eps))
     # dx must stay under a quarter of the fastest local wavelength
     z_osc = max(0.0, float(-np.min(arg)))
-    k_airy = (abs(cube) / hbar) * np.sqrt(z_osc)
+    k_airy = (abs(cube) / hbar) * float(np.sqrt(z_osc))
     k_chirp = m * abs(c.t) / (abs(c.eps) * hbar)
     k = k_airy + k_chirp
     if k > 0 and grid.dx > np.pi / (2.0 * k):
@@ -356,10 +362,14 @@ def berry_balazs_initial(B: float, grid: Grid) -> WaveField:
     scale = abs(B) / hbar ** (2.0 / 3.0)
     x_edge = grid.x_min if B > 0 else grid.x_max
     z_edge = scale * abs(x_edge)
-    k_edge = scale * np.sqrt(z_edge)
-    if k_edge > 0 and grid.dx > np.pi / (2.0 * k_edge):
+    k_edge = scale * float(np.sqrt(z_edge))
+    quarter = np.pi / (2.0 * k_edge) if k_edge > 0 else np.inf
+    if z_edge > 0 and quarter == np.inf:
+        raise GeometryError(
+            f"the local wavelength at x = {x_edge:g} overflows at B = {B:g}")
+    if grid.dx > quarter:
         raise ResolutionError(
             f"dx = {grid.dx:g} exceeds a quarter local wavelength "
-            f"{np.pi / (2.0 * k_edge):g} at x = {x_edge:g}")
+            f"{quarter:g} at x = {x_edge:g}")
     amps = ai_values(B * grid.x / hbar ** (2.0 / 3.0)).astype(complex)
     return WaveField(grid=grid, rep=Rep.POSITION, amplitudes=amps, time=0.0)

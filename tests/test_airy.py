@@ -9,11 +9,12 @@ cross-oracle over a dense sample.
 import math
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
 
-from airylab import AirylabError, ai_values, airy_ai
+from airylab import AirylabError, ai_values, airy, airy_ai
 
 # (z, Ai(z)) pairs, mpmath mp.airyai at mp.dps = 40
 AI_ORACLE = [
@@ -173,6 +174,46 @@ class TestSweep:
             if z >= 8.0 and ref >= np.finfo(float).tiny:
                 err = self._abs_error(airy_ai(z).value, expected)
                 assert err <= Decimal(3e-15) * Decimal(expected)
+
+
+class TestAsymptoticBranch:
+    def test_underflow_cut_is_exact(self):
+        # _ai returns (0.0, tiny) past the cut without evaluating; that is
+        # bit for bit what the asymptotic branch itself gives there
+        cut = airy._UNDERFLOW
+        z = np.concatenate([[cut, np.nextafter(cut, np.inf)],
+                            np.linspace(cut, 1.0e4, 20001),
+                            np.geomspace(cut, 1.0e4, 20001)])
+        value, err = airy._asymptotic(z)
+        assert np.all(value == 0.0) and not np.any(np.signbit(value))
+        assert np.all(err == np.finfo(float).tiny)
+        got_value, got_err = airy._ai(z)
+        assert np.array_equal(got_value, value) and np.array_equal(got_err, err)
+        assert np.array_equal(ai_values(z), value)
+        for zi in z[::1000]:
+            assert airy_ai(zi) == airy.AiryResult(0.0, np.finfo(float).tiny)
+
+    def test_underflow_edge_takes_full_path(self):
+        # the sweep's subnormal rows sit below the cut and are evaluated
+        edge = [z for z, _ in AI_SWEEP if 104.0 < z < 108.0]
+        assert edge == [104.9, 105.5, 106.5, 107.5]
+        for z in edge:
+            assert z <= airy._UNDERFLOW
+            value, err = airy._asymptotic(np.array([z]))
+            assert airy_ai(z) == airy.AiryResult(value[0], err[0])
+        assert airy_ai(104.9).value > 0.0
+
+    def test_error_estimate_honest_against_mpmath(self):
+        # seeded points on both asymptotic sides, referenced live at 40
+        # digits; the rounding of zeta and |z|^(1/4) must stay in the bound
+        rng = np.random.default_rng(20261020)
+        z = np.concatenate([-np.exp(rng.uniform(np.log(8.0), np.log(1.0e4), 64)),
+                            rng.uniform(6.0, 108.0, 32)])
+        value, err = airy._ai(z)
+        with mpmath.workdps(40):
+            for zi, vi, ei in zip(z, value, err):
+                ref = mpmath.airyai(mpmath.mpf(float(zi)))
+                assert abs(mpmath.mpf(float(vi)) - ref) <= ei, zi
 
 
 class TestVectorized:

@@ -108,6 +108,10 @@ class TestAccelerationFit:
         with pytest.raises(AirylabError):
             acceleration_fit(CoherentParams(0.0, 0.0, 0.0), [0.0, 1.0, 2.0],
                              g128)
+        # a subnormal eps overflows the travel: a typed error, not a numpy
+        # overflow warning
+        with pytest.raises(GeometryError, match="travel overflows"):
+            acceleration_fit(CoherentParams(1e-310), [0.0, 0.5, 1.0], g128)
 
 
 class TestShapeInvariance:
@@ -287,6 +291,19 @@ class TestBerryBalazsTrajectory:
         assert r.metrics["coeff"] == pytest.approx(0.25, rel=0.01)
         assert r.metrics["distortion_max"] < 1e-5
         assert r.metrics["family_coeff_rel_diff"] < 0.01
+
+    @pytest.mark.parametrize("B", [1.0, -1.0])
+    def test_distortions_are_density_shift_distortion(self, g128, B):
+        # each evolved member serves both the distortion and the peak fit;
+        # sharing it must not change the one distortion formula
+        times, w = [0.0, 0.4, 0.8], Window.rect(0.3)
+        r = berry_balazs_trajectory(B, times, g128, w=w, tol_distortion=1e-5)
+        eps = r.config["family_eps"]
+        mom0 = perelomov_state(CoherentParams(eps), Rep.MOMENTUM, g128,
+                               band=BandTaper(**r.config["band"]))
+        assert r.metrics["distortions"] == [
+            density_shift_distortion(mom0, t, -t * t / (2.0 * eps), w)
+            for t in times]
 
 
 class TestRepresentationCrosscheck:

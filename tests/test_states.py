@@ -133,6 +133,14 @@ class TestPerelomovDegenerate:
             xi_eigenstate_x(-2.0, 5.186069348858173e-308, grid)
         assert np.all(np.isfinite(xi_eigenstate_x(-2.0, 1e-300, grid).amplitudes))
 
+    def test_subnormal_eps_argument_overflow_is_a_geometry_error(self, grid64):
+        # (C/hbar) t^2/2 eps overflows at eps = 1e-240: a typed error, not a
+        # numpy overflow warning; without the t term it is only unresolved
+        with pytest.raises(GeometryError, match="Airy argument overflows"):
+            perelomov_state(CoherentParams(1e-240, 0.0, 0.3), Rep.POSITION, grid64)
+        with pytest.raises(ResolutionError):
+            perelomov_state(CoherentParams(1e-240, 0.0, 0.0), Rep.POSITION, grid64)
+
 
 class TestPerelomovMomentum:
     def test_banded_amplitudes(self, grid64):
@@ -445,6 +453,15 @@ class TestBerryBalazs:
             berry_balazs_initial(0.0, grid64)
         with pytest.raises(ResolutionError):
             berry_balazs_initial(40.0, grid64)
+
+    def test_tiny_slope_wavelength_overflow_is_a_geometry_error(self, grid64):
+        # pi/2k at the edge overflows at B = 1e-206, and k itself underflows
+        # to 0 at B = 1e-300; both are one error, not a numpy warning
+        for B in (1e-206, -1e-206, 1e-300):
+            with pytest.raises(GeometryError, match="wavelength .* overflows"):
+                berry_balazs_initial(B, grid64)
+        flat = berry_balazs_initial(1e-100, grid64).amplitudes
+        assert np.all(flat == ai_values(np.zeros(1))[0])
 
 
 class TestCrossRepresentation:
