@@ -1,10 +1,11 @@
 """Numerical laboratory for the accelerating Airy coherent family.
 
-Subpackages by concern: `core` holds grids (each carrying the physical
-constants hbar and m), representations, and windowed metrics; `airy` an independent Airy evaluator; `oscillatory`
-steepest-descent cubic-phase quadrature; `states` the state constructors;
-`operators` the generator and displacement algebra; `experiments` the
-verification battery; `cli` the `airy-lab` entry point.
+Modules by concern: `core` holds grids (each carrying the physical
+constants hbar and m), representations, and windowed metrics; `airy` an
+independent Airy evaluator; `oscillatory` steepest-descent cubic-phase
+quadrature; `states` the state constructors; `operators` the generator
+and displacement algebra; `experiments` the verification battery; `cli`
+the `airy-lab` entry point.
 """
 
 from .airy import AiryResult, ai_values, airy_ai

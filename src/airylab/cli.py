@@ -6,9 +6,11 @@ for verification commands an experiment spec with parameter and
 tolerance overrides.  The grid is built with the constants and carries
 them into every computation.  Everything is validated before any
 computation; unknown keys are rejected at every level.  What an
-experiment accepts is read from `experiments.EXPERIMENTS` and from its
-signature: parameters without a default are required, and `c` or
-`field` in the signature means the config needs a state.
+experiment accepts is its signature, as `experiments.EXPERIMENTS`
+derives it: each parameter the config may give, with its validator and
+required when it has no default, and each tolerance keyword; `c` or
+`field` in the signature means the config needs a state.  A value the
+config leaves out keeps the default of its function or dataclass.
 
 Exit codes are a stable contract:
     0  run completed and every declared tolerance passed
@@ -29,7 +31,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -278,10 +280,8 @@ def _parse_band(v, where: str):
 def _parse_probe(v, where: str) -> GaussianParams:
     _check_keys(v, where, (), ("x0", "p0", "sigma"))
     try:
-        return GaussianParams(
-            x0=_num(v.get("x0", 0.0), f"{where}.x0"),
-            p0=_num(v.get("p0", 0.0), f"{where}.p0"),
-            sigma=_num(v.get("sigma", 1.0), f"{where}.sigma"))
+        return GaussianParams(**{k: _num(x, f"{where}.{k}")
+                                 for k, x in v.items()})
     except AirylabError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -322,30 +322,26 @@ def _validate_state_spec(spec, where: str) -> dict:
     return out
 
 
-def _coherent(spec: dict) -> CoherentParams:
-    return CoherentParams(eps=spec["eps"], xi=spec.get("xi", 0.0),
-                          t=spec.get("t", 0.0))
+def _given(cls, spec: dict):
+    """`cls` built from the fields a spec gives; the rest keep their defaults."""
+    return cls(**{f.name: spec[f.name] for f in fields(cls) if f.name in spec})
 
 
 def _build_state(spec: dict, grid: Grid) -> WaveField:
     kind = spec["kind"]
     if kind == "perelomov":
-        mom = perelomov_state(_coherent(spec), Rep.MOMENTUM, grid,
+        mom = perelomov_state(_given(CoherentParams, spec), Rep.MOMENTUM, grid,
                               band=spec.get("band", "auto"))
         return to_rep(mom, Rep.POSITION)
     if kind == "gaussian":
-        g = GaussianParams(x0=spec.get("x0", 0.0), p0=spec.get("p0", 0.0),
-                           sigma=spec.get("sigma", 1.0))
-        return gaussian_packet(g, grid)
+        return gaussian_packet(_given(GaussianParams, spec), grid)
     if kind == "berry_balazs":
         return berry_balazs_initial(spec["B"], grid)
     return xi_eigenstate_x(spec["xi"], spec["t"], grid)
 
 
-def _keyword(param: str) -> str:
-    """The keyword a config parameter is passed as: its own name, except
-    `window`, which experiments take as `w`."""
-    return "w" if param == "window" else param
+# the keyword each config parameter is passed as, where it is not its key
+_KEYWORDS = {key: name for name, key in experiments._CONFIG_KEYS.items()}
 
 
 def _validate_experiment_spec(spec, where: str, state_spec) -> dict:
@@ -363,7 +359,7 @@ def _validate_experiment_spec(spec, where: str, state_spec) -> dict:
             f"experiment {name!r} requires a state of kind 'perelomov'")
     if "field" in signature and state_spec is None:
         raise ConfigError(f"experiment {name!r} requires a state")
-    required = tuple(k for k in tags if signature[_keyword(k)].default
+    required = tuple(k for k in tags if signature[_KEYWORDS.get(k, k)].default
                      is inspect.Parameter.empty)
     raw_params = spec.get("parameters", {})
     _check_keys(raw_params, f"{where}.parameters", required,
@@ -408,9 +404,8 @@ class RunConfig:
         phys_spec = data.get("phys", {})
         _check_keys(phys_spec, "config.phys", (), ("hbar", "m"))
         try:
-            phys = PhysParams(hbar=_num(phys_spec.get("hbar", 1.0),
-                                        "config.phys.hbar"),
-                              m=_num(phys_spec.get("m", 1.0), "config.phys.m"))
+            phys = PhysParams(**{k: _num(v, f"config.phys.{k}")
+                                 for k, v in phys_spec.items()})
             grid = make_grid(_intval(data["grid"]["n"], "config.grid.n"),
                              _num(data["grid"]["x_min"], "config.grid.x_min"),
                              _num(data["grid"]["x_max"], "config.grid.x_max"),
@@ -474,13 +469,13 @@ def _run_experiment(cfg: RunConfig, spec: dict):
     not given keeps the function's own default."""
     run = getattr(experiments, spec["name"])
     signature = inspect.signature(run).parameters
-    kwargs = {_keyword(k): v for k, v in spec["params"].items()}
+    kwargs = {_KEYWORDS.get(k, k): v for k, v in spec["params"].items()}
     if "grid" in signature:
         kwargs["grid"] = cfg.grid
     if "phys" in signature:
         kwargs["phys"] = cfg.grid.phys
     if "c" in signature:
-        kwargs["c"] = _coherent(cfg.state_spec)
+        kwargs["c"] = _given(CoherentParams, cfg.state_spec)
     if "field" in signature:
         kwargs["field"] = _build_state(cfg.state_spec, cfg.grid)
     return run(**kwargs, **spec["tols"])
@@ -512,15 +507,14 @@ def _execute(cfg: RunConfig, out_dir: str, echo, seed) -> tuple[bool, list]:
                 "config": cfg.state_spec, "tolerances": {}, "passed": True})
         else:
             rows = []
-            final = field
             for tau in cfg.evolve_taus:
                 final = to_rep(free_evolve(field, tau), Rep.POSITION)
+                if not rows:
+                    first = final
                 rows.append((final.time, _parabolic_peak(final)))
             emit_csv(final, target("csv"))
             emit_csv(rows, target("trajectory_csv"))
             if "svg" in cfg.outputs:
-                first = to_rep(free_evolve(field, cfg.evolve_taus[0]),
-                               Rep.POSITION)
                 emit_svg_plot(
                     [(f"tau={cfg.evolve_taus[0]:g}", cfg.grid.x,
                       first.density()),

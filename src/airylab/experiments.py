@@ -22,7 +22,8 @@ momentum build; metrics inside the window probe the family itself.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import inspect
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -87,14 +88,26 @@ _AIRY_FIRST_PEAK = -1.0187929716474771
 # Ai(0) = 3^(-2/3) / Gamma(2/3), to the nearest double
 _AIRY_AI_ZERO = 0.3550280538878172
 
-# The experiments a config can name: name -> (parameter -> validator tag,
-# tolerance key -> keyword).  It holds only what a signature cannot say;
-# the config runner in cli.py reads the rest from the signature: a
-# parameter without a default is required, `c` takes the config's
-# perelomov state, `field` its built state, `grid` and `phys` its grid.
-# A bound fixed in the declaration (the limits' monotone flags) is not
-# listed, so a config cannot override it.
+# the window of every experiment that is not given one
+_WINDOW = Window.rect(0.5)
+
+# The experiments a config can name: name -> (config parameter ->
+# validator tag, tolerance key -> keyword), derived from the signature
+# once, at registration.  The config parameters are all parameters but
+# the bound keywords and the four the config runner supplies: `c` takes
+# the config's perelomov state, `field` its built state, `grid` and
+# `phys` its grid.  A parameter without a default is required.  A bound
+# fixed in the declaration (the limits' monotone flags) has no keyword,
+# so a config cannot override it.
 EXPERIMENTS: dict[str, tuple[dict, dict]] = {}
+_SUPPLIED = ("c", "field", "grid", "phys")
+# a parameter's config key where it differs from the parameter's name
+_CONFIG_KEYS = {"w": "window"}
+# the validator tag of each config parameter that is not a plain number
+_TAGS = {"window": "window", "band": "band", "probe": "probe",
+         "n_states": "count", "drop_cubic_phase": "bool",
+         "taus": "numlist", "t_list": "numlist", "eps_list": "numlist",
+         "eps_seq": "numlist"}
 
 
 def _meets(metrics: dict, key: str, bound) -> bool:
@@ -105,12 +118,11 @@ def _meets(metrics: dict, key: str, bound) -> bool:
     return metrics[key] <= bound
 
 
-def _experiment(bounds: dict, **params: str):
+def _experiment(bounds: dict):
     """Register an experiment and build its report from its declaration.
 
     `bounds` maps each tolerance key to the keyword-only parameter that
-    holds its bound, or to a fixed bool; `params` maps each config
-    parameter to its validator tag.  The decorated body returns
+    holds its bound, or to a fixed bool.  The decorated body returns
     (metrics, config); the report's tolerances are the bound values of
     this call, and it passes when every bound is met under the rule
     stated on ExperimentReport.
@@ -128,7 +140,10 @@ def _experiment(bounds: dict, **params: str):
             return ExperimentReport(
                 fn.__name__, metrics, config, tolerances,
                 all(_meets(metrics, k, b) for k, b in tolerances.items()))
-        EXPERIMENTS[fn.__name__] = (params, keywords)
+        params = [_CONFIG_KEYS.get(p, p) for p in inspect.signature(fn).parameters
+                  if p not in _SUPPLIED and p not in keywords.values()]
+        EXPERIMENTS[fn.__name__] = ({p: _TAGS.get(p, "num") for p in params},
+                                    keywords)
         return run
     return register
 
@@ -160,34 +175,19 @@ class ExperimentReport:
         }
 
 
-def _grid_cfg(grid: Grid) -> dict:
-    return {"n_points": grid.n_points, "x_min": grid.x_min, "x_max": grid.x_max}
-
-
-def _phys_cfg(phys: PhysParams) -> dict:
-    return {"hbar": phys.hbar, "m": phys.m}
-
-
-def _win_cfg(w: Window) -> dict:
-    return {"kind": w.kind.value, "interior_fraction": w.interior_fraction}
-
-
-def _c_cfg(c: CoherentParams) -> dict:
-    return {"eps": c.eps, "xi": c.xi, "t": c.t}
-
-
-def _band_cfg(band: BandTaper | None) -> dict | None:
-    if band is None:
-        return None
-    return {"p_plateau": band.p_plateau, "p_support": band.p_support}
+def _geometry(grid: Grid, w: Window | None = None) -> dict:
+    """Config echo of a grid, the constants it carries and a window."""
+    echo = {"grid": {"n_points": grid.n_points, "x_min": grid.x_min,
+                     "x_max": grid.x_max},
+            "phys": asdict(grid.phys)}
+    if w is not None:
+        echo["window"] = {"kind": w.kind.value,
+                          "interior_fraction": w.interior_fraction}
+    return echo
 
 
 def _floats(values) -> list[float]:
     return [float(v) for v in values]
-
-
-def _default_window(w: Window | None) -> Window:
-    return w if w is not None else Window.rect(0.5)
 
 
 def _parabolic_peak(field: WaveField) -> float:
@@ -205,12 +205,11 @@ def _parabolic_peak(field: WaveField) -> float:
     return float(grid.x[j] + 0.5 * grid.dx * (rho[j - 1] - rho[j + 1]) / d2)
 
 
-@_experiment({"residual": "tol"},
-             window="window", band="band", xi_probe="num")
+@_experiment({"residual": "tol"})
 def eigenrelation_residual(
     c: CoherentParams,
     grid: Grid,
-    w: Window | None = None,
+    w: Window = _WINDOW,
     band: BandTaper | str | None = "auto",
     *,
     xi_probe: float | None = None,
@@ -222,7 +221,6 @@ def eigenrelation_residual(
     (the state itself keeps c.xi); probing a wrong eigenvalue is the
     negative control and must fail the tolerance.
     """
-    w = _default_window(w)
     probe = c.xi if xi_probe is None else float(xi_probe)
     band_r = _plan_band(c, [c.t], grid, band)
     psi = to_rep(perelomov_state(c, Rep.MOMENTUM, grid, band=band_r), Rep.POSITION)
@@ -235,12 +233,11 @@ def eigenrelation_residual(
         raise GeometryError("state has no weight inside the window")
     r = windowed_norm(res, w) / denom
     return ({"residual": float(r), "windowed_norm": float(denom)},
-            {"params": _c_cfg(c), "xi_probe": probe, "grid": _grid_cfg(grid),
-             "phys": _phys_cfg(grid.phys), "window": _win_cfg(w),
-             "band": _band_cfg(band_r)})
+            {"params": asdict(c), "xi_probe": probe, **_geometry(grid, w),
+             "band": None if band_r is None else asdict(band_r)})
 
 
-@_experiment({"rel_err": "tol_rel"}, taus="numlist", band="band")
+@_experiment({"rel_err": "tol_rel"})
 def acceleration_fit(
     c: CoherentParams,
     taus,
@@ -284,15 +281,15 @@ def acceleration_fit(
              "accel_expected_abs": 1.0 / abs(c.eps),
              "rel_err": float(rel_err), "fit_residual": fit_resid,
              "peaks": _floats(peaks), "taus": _floats(taus)},
-            {"params": _c_cfg(c), "grid": _grid_cfg(grid),
-             "phys": _phys_cfg(grid.phys), "band": _band_cfg(band_r)})
+            {"params": asdict(c), **_geometry(grid),
+             "band": None if band_r is None else asdict(band_r)})
 
 
 def density_shift_distortion(
     field: WaveField,
     tau: float,
     shift: float,
-    w: Window | None = None,
+    w: Window = _WINDOW,
 ) -> float:
     """Windowed L1 mismatch between the evolved density and a rigid shift.
 
@@ -301,7 +298,7 @@ def density_shift_distortion(
     evolution only displaced the profile.
     """
     pos_tau = to_rep(free_evolve(field, float(tau)), Rep.POSITION)
-    ww = window_weights(field.grid, _default_window(w), Rep.POSITION)
+    ww = window_weights(field.grid, w, Rep.POSITION)
     return _shift_distortion(to_rep(field, Rep.POSITION), pos_tau, shift, ww)
 
 
@@ -317,12 +314,12 @@ def _shift_distortion(pos0: WaveField, pos_tau: WaveField, shift: float,
     return num / den
 
 
-@_experiment({"distortion": "tol"}, tau="num", window="window", band="band")
+@_experiment({"distortion": "tol"})
 def shape_distortion(
     c: CoherentParams,
     tau: float,
     grid: Grid,
-    w: Window | None = None,
+    w: Window = _WINDOW,
     band: BandTaper | str | None = "auto",
     *,
     tol: float = 1.0e-8,
@@ -334,7 +331,6 @@ def shape_distortion(
     -((c.t+tau)^2 - c.t^2)/(2 eps).  The distortion metric should sit at
     the apodization floor; any genuine spreading would show up directly.
     """
-    w = _default_window(w)
     tau = float(tau)
     if c.eps == 0.0:
         raise GeometryError("eps = 0 does not displace rigidly; no prediction")
@@ -343,19 +339,17 @@ def shape_distortion(
     displacement = -((c.t + tau) ** 2 - c.t ** 2) / (2.0 * c.eps)
     d = density_shift_distortion(mom0, tau, displacement, w)
     return ({"distortion": float(d), "displacement": float(displacement)},
-            {"params": _c_cfg(c), "tau": tau, "grid": _grid_cfg(grid),
-             "phys": _phys_cfg(grid.phys), "window": _win_cfg(w),
-             "band": _band_cfg(band_r)})
+            {"params": asdict(c), "tau": tau, **_geometry(grid, w),
+             "band": None if band_r is None else asdict(band_r)})
 
 
 @_experiment({"fidelity_deficit": "tol_fidelity",
-              "phase_discrepancy": "tol_phase"},
-             tau="num", window="window", band="band", drop_cubic_phase="bool")
+              "phase_discrepancy": "tol_phase"})
 def evolution_equivalence(
     c: CoherentParams,
     tau: float,
     grid: Grid,
-    w: Window | None = None,
+    w: Window = _WINDOW,
     band: BandTaper | str | None = "auto",
     *,
     drop_cubic_phase: bool = False,
@@ -371,7 +365,6 @@ def evolution_equivalence(
     scalar (drop_cubic_phase) is the negative control: fidelity stays
     perfect but the phase discrepancy becomes m tau^3/3 hbar eps^2.
     """
-    w = _default_window(w)
     tau = float(tau)
     if c.eps * c.eps == 0.0:
         # the phase m tau^3/3 hbar eps^2 divides by eps^2
@@ -397,9 +390,8 @@ def evolution_equivalence(
     phase = abs(float(np.angle(ip)))
     return ({"fidelity": float(fidelity), "fidelity_deficit": float(deficit),
              "phase_discrepancy": phase},
-            {"params": _c_cfg(c), "tau": tau, "grid": _grid_cfg(grid),
-             "phys": _phys_cfg(grid.phys), "window": _win_cfg(w),
-             "band": _band_cfg(band_r),
+            {"params": asdict(c), "tau": tau, **_geometry(grid, w),
+             "band": None if band_r is None else asdict(band_r),
              "drop_cubic_phase": bool(drop_cubic_phase)})
 
 
@@ -413,9 +405,7 @@ def _pair_overlap(ca: CoherentParams, cb: CoherentParams,
 
 
 @_experiment({"exponent_err": "tol_exponent",
-              "label_dependence": "tol_label_dep"},
-             eps_list="numlist", xi="num", t="num", eps_ref="num",
-             quad_tol="num", xi_alt_offset="num")
+              "label_dependence": "tol_label_dep"})
 def overlap_scan(
     eps_list,
     xi: float = 0.0,
@@ -432,9 +422,11 @@ def overlap_scan(
 
     |<eps_ref,xi;t | eps,xi;t>| should scale as |delta eps|^(-1/3) with
     prefactor (2 hbar m^2)^(1/3) Ai(0)/(hbar m), independent of the
-    common xi and t labels.  The exponent comes from a log-log fit; the
-    label independence is measured by rerunning the scan at shifted
-    labels.
+    common xi and t labels.  The exponent comes from a log-log fit.
+    Every overlap is a quadrature of the family phase at the label
+    difference, so label_dependence, the change under a common xi shift,
+    is exactly 0 by construction; it can bite only once the scan
+    measures overlaps of grid builds.
     """
     hbar, m = phys.hbar, phys.m
     eps_list = [float(e) for e in eps_list]
@@ -471,15 +463,13 @@ def overlap_scan(
              "label_dependence": label_dep,
              "intercept": float(intercept)},
             {"eps_list": _floats(eps_list), "eps_ref": eps_ref,
-             "xi": xi, "t": t, "phys": _phys_cfg(phys),
+             "xi": xi, "t": t, "phys": asdict(phys),
              "quad_tol": quad_tol, "xi_alt_offset": xi_alt_offset})
 
 
 @_experiment({"diag_flatness": "tol_diag",
               "offdiag_suppression_min": "min_suppression",
-              "reconstruction_err": "tol_recon"},
-             eps="num", t="num", n_states="count", window_fraction="num",
-             probe="probe", sum_taper_frac="num")
+              "reconstruction_err": "tol_recon"})
 def basis_orthonormality(
     eps: float,
     t: float,
@@ -487,7 +477,7 @@ def basis_orthonormality(
     *,
     n_states: int = 256,
     window_fraction: float = 0.5,
-    probe: GaussianParams | None = None,
+    probe: GaussianParams = GaussianParams(),
     sum_taper_frac: float = 0.25,
     tol_diag: float = 0.02,
     min_suppression: float = 1.0e3,
@@ -538,7 +528,6 @@ def basis_orthonormality(
         # suppressed without bound
         suppression = float(np.min(diag) / max(max_off, np.finfo(float).tiny))
 
-    probe = probe if probe is not None else GaussianParams(0.0, 0.0, 1.0)
     probe_m = to_rep(gaussian_packet(probe, grid), Rep.MOMENTUM)
     coeffs = (weighted @ probe_m.amplitudes) * grid.dp
     u = (np.arange(n_states) + 0.5) / n_states
@@ -555,16 +544,15 @@ def basis_orthonormality(
              "delta_xi": float(delta_xi), "window_points": m_pts},
             {"eps": eps, "t": t, "n_states": n_states,
              "window_fraction": window_fraction,
-             "sum_taper_frac": sum_taper_frac, "grid": _grid_cfg(grid),
-             "phys": _phys_cfg(grid.phys),
-             "probe": {"x0": probe.x0, "p0": probe.p0, "sigma": probe.sigma}})
+             "sum_taper_frac": sum_taper_frac, **_geometry(grid),
+             "probe": asdict(probe)})
 
 
-@_experiment({"drift": "tol"}, taus="numlist", window="window")
+@_experiment({"drift": "tol"})
 def k_expectation_series(
     field: WaveField,
     taus,
-    w: Window | None = None,
+    w: Window = _WINDOW,
     *,
     tol: float = 1.0e-10,
 ) -> ExperimentReport:
@@ -574,7 +562,6 @@ def k_expectation_series(
     time argument tracks the field's clock, so the windowed expectation
     is conserved to roundoff.
     """
-    w = _default_window(w)
     taus = [float(t) for t in taus]
     values = []
     for tau in taus:
@@ -588,16 +575,15 @@ def k_expectation_series(
     return ({"k_values": _floats(values), "k_initial": values[0],
              "drift": drift},
             {"taus": _floats(taus), "field_time": field.time,
-             "grid": _grid_cfg(field.grid), "phys": _phys_cfg(field.grid.phys),
-             "window": _win_cfg(w)})
+             **_geometry(field.grid, w)})
 
 
-@_experiment({"residual": "tol"}, v="num", tau="num", window="window")
+@_experiment({"residual": "tol"})
 def boost_covariance_residual(
     field: WaveField,
     v: float,
     tau: float,
-    w: Window | None = None,
+    w: Window = _WINDOW,
     *,
     tol: float = 1.0e-8,
 ) -> ExperimentReport:
@@ -608,7 +594,6 @@ def boost_covariance_residual(
     K(t0).  The windowed residual between the two orderings is the
     covariance defect.
     """
-    w = _default_window(w)
     v, tau = float(v), float(tau)
     a = boost(free_evolve(field, tau), BoostParams(v, field.time + tau))
     b = free_evolve(boost(field, BoostParams(v, field.time)), tau)
@@ -624,18 +609,16 @@ def boost_covariance_residual(
             f"boost and evolution orderings end {time_skew:g} apart in time")
     return ({"residual": float(resid), "time_skew": float(time_skew)},
             {"v": v, "tau": tau, "field_time": field.time,
-             "grid": _grid_cfg(field.grid), "phys": _phys_cfg(field.grid.phys),
-             "window": _win_cfg(w)})
+             **_geometry(field.grid, w)})
 
 
 @_experiment({"coeff_rel_err": "tol_coeff",
-              "distortion_max": "tol_distortion"},
-             B="num", t_list="numlist", window="window", band="band")
+              "distortion_max": "tol_distortion"})
 def berry_balazs_trajectory(
     B: float,
     t_list,
     grid: Grid,
-    w: Window | None = None,
+    w: Window = _WINDOW,
     band: BandTaper | str | None = "auto",
     *,
     tol_coeff: float = 0.01,
@@ -650,7 +633,6 @@ def berry_balazs_trajectory(
     shifted initial density stays at the apodization floor, and its own
     peak trajectory must agree with the raw profile's.
     """
-    w = _default_window(w)
     B = float(B)
     hbar, m = grid.phys.hbar, grid.phys.m
     t_list = sorted(float(t) for t in t_list)
@@ -692,16 +674,16 @@ def berry_balazs_trajectory(
              "distortions": _floats(distortions),
              "distortion_max": distortion_max,
              "family_coeff_rel_diff": float(family_coeff_rel_diff)},
-            {"B": B, "t_list": _floats(ts), "grid": _grid_cfg(grid),
-             "phys": _phys_cfg(grid.phys), "window": _win_cfg(w),
-             "band": _band_cfg(band_r), "family_eps": c.eps})
+            {"B": B, "t_list": _floats(ts), **_geometry(grid, w),
+             "band": None if band_r is None else asdict(band_r),
+             "family_eps": c.eps})
 
 
-@_experiment({"sup_rel": "tol"}, window="window", band="band")
+@_experiment({"sup_rel": "tol"})
 def representation_crosscheck(
     c: CoherentParams,
     grid: Grid,
-    w: Window | None = None,
+    w: Window = _WINDOW,
     band: BandTaper | str | None = "auto",
     *,
     tol: float = 1.0e-6,
@@ -712,7 +694,6 @@ def representation_crosscheck(
     closed form, bounds the apodization plus transform error where the
     two constructions must agree.
     """
-    w = _default_window(w)
     closed = perelomov_state(c, Rep.POSITION, grid)
     band_r = _plan_band(c, [c.t], grid, band)
     via_fft = to_rep(perelomov_state(c, Rep.MOMENTUM, grid, band=band_r), Rep.POSITION)
@@ -725,19 +706,17 @@ def representation_crosscheck(
     dd = closed.with_amplitudes(closed.amplitudes - via_fft.amplitudes)
     l2_rel = windowed_norm(dd, w) / windowed_norm(closed, w)
     return ({"sup_rel": sup_rel, "l2_rel": float(l2_rel)},
-            {"params": _c_cfg(c), "grid": _grid_cfg(grid),
-             "phys": _phys_cfg(grid.phys), "window": _win_cfg(w),
-             "band": _band_cfg(band_r)})
+            {"params": asdict(c), **_geometry(grid, w),
+             "band": None if band_r is None else asdict(band_r)})
 
 
-@_experiment({"monotone_decreasing": True},
-             eps_seq="numlist", xi="num", t="num", window="window", band="band")
+@_experiment({"monotone_decreasing": True})
 def eps_to_zero_limit(
     eps_seq,
     xi: float,
     t: float,
     grid: Grid,
-    w: Window | None = None,
+    w: Window = _WINDOW,
     band: BandTaper | str | None = "auto",
 ) -> ExperimentReport:
     """Family members approach the boost eigenstate as eps decreases.
@@ -746,7 +725,6 @@ def eps_to_zero_limit(
     eps = 0 closed form (chirp times Fresnel constant) for a decreasing
     eps sequence; the trend, not a rate, is the assertion.
     """
-    w = _default_window(w)
     if t == 0.0:
         raise GeometryError("the eps -> 0 closed form needs t != 0")
     eps_seq = [float(e) for e in eps_seq]
@@ -756,25 +734,22 @@ def eps_to_zero_limit(
     ref_norm = windowed_norm(ref, w)
     errors = []
     for e in eps_seq:
-        c = CoherentParams(e, xi, t)
-        band_r = _plan_band(c, [t], grid, band)
-        psi = to_rep(perelomov_state(c, Rep.MOMENTUM, grid, band=band_r), Rep.POSITION)
+        psi = to_rep(perelomov_state(CoherentParams(e, xi, t), Rep.MOMENTUM,
+                                     grid, band=band), Rep.POSITION)
         diff = psi.with_amplitudes(psi.amplitudes - ref.amplitudes)
         errors.append(windowed_norm(diff, w) / ref_norm)
     monotone = all(a > b for a, b in zip(errors, errors[1:]))
     return ({"errors": _floats(errors), "eps_seq": _floats(eps_seq),
              "monotone_decreasing": bool(monotone)},
-            {"xi": xi, "t": t, "grid": _grid_cfg(grid),
-             "phys": _phys_cfg(grid.phys), "window": _win_cfg(w)})
+            {"xi": xi, "t": t, **_geometry(grid, w)})
 
 
-@_experiment({"monotone_increasing": True},
-             eps_seq="numlist", tau="num", window="window", band="band")
+@_experiment({"monotone_increasing": True})
 def eps_to_infinity_fidelity(
     eps_seq,
     tau: float,
     grid: Grid,
-    w: Window | None = None,
+    w: Window = _WINDOW,
     band: BandTaper | str | None = "auto",
 ) -> ExperimentReport:
     """Members freeze under evolution as eps grows.
@@ -783,7 +758,6 @@ def eps_to_infinity_fidelity(
     for an increasing eps sequence; the decoherence phase shrinks as
     m tau/eps, so the fidelity must increase monotonically toward 1.
     """
-    w = _default_window(w)
     tau = float(tau)
     eps_seq = [float(e) for e in eps_seq]
     if not all(0.0 < a < b for a, b in zip(eps_seq, eps_seq[1:])):
@@ -801,15 +775,14 @@ def eps_to_infinity_fidelity(
     monotone = all(a < b for a, b in zip(fidelities, fidelities[1:]))
     return ({"fidelities": _floats(fidelities), "eps_seq": _floats(eps_seq),
              "monotone_increasing": bool(monotone)},
-            {"tau": tau, "grid": _grid_cfg(grid),
-             "phys": _phys_cfg(grid.phys), "window": _win_cfg(w)})
+            {"tau": tau, **_geometry(grid, w)})
 
 
-@_experiment({"max_rel_err": "tol"}, window="window", probe="probe")
+@_experiment({"max_rel_err": "tol"})
 def commutator_table(
     grid: Grid,
-    w: Window | None = None,
-    probe: GaussianParams | None = None,
+    w: Window = _WINDOW,
+    probe: GaussianParams = GaussianParams(0.0, 0.7, 1.5),
     *,
     tol: float = 1.0e-7,
 ) -> ExperimentReport:
@@ -820,8 +793,6 @@ def commutator_table(
     [x,p^3/6] = i hbar p^2/2, and the three vanishing brackets) in the
     windowed relative norm.
     """
-    w = _default_window(w)
-    probe = probe if probe is not None else GaussianParams(0.0, 0.7, 1.5)
     psi = gaussian_packet(probe, grid)
     hbar, m = grid.phys.hbar, grid.phys.m
 
@@ -870,6 +841,5 @@ def commutator_table(
     max_rel = max(metrics.values())
     metrics["max_rel_err"] = float(max_rel)
     return (metrics,
-            {"grid": _grid_cfg(grid), "phys": _phys_cfg(grid.phys),
-             "window": _win_cfg(w),
-             "probe": {"x0": probe.x0, "p0": probe.p0, "sigma": probe.sigma}})
+            {**_geometry(grid, w),
+             "probe": asdict(probe)})

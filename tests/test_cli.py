@@ -432,6 +432,37 @@ PARITY = {
 }
 
 
+# name -> the keys of its report's config; an echoed dataclass or
+# geometry record has the keys of ECHOED
+_GEOM = {"grid", "phys", "window"}
+REPORT_CONFIG = {
+    "eigenrelation_residual": {"params", "xi_probe", "band"} | _GEOM,
+    "acceleration_fit": {"params", "grid", "phys", "band"},
+    "shape_distortion": {"params", "tau", "band"} | _GEOM,
+    "evolution_equivalence": {"params", "tau", "band",
+                              "drop_cubic_phase"} | _GEOM,
+    "overlap_scan": {"eps_list", "eps_ref", "xi", "t", "phys", "quad_tol",
+                     "xi_alt_offset"},
+    "basis_orthonormality": {"eps", "t", "n_states", "window_fraction",
+                             "sum_taper_frac", "grid", "phys", "probe"},
+    "k_expectation_series": {"taus", "field_time"} | _GEOM,
+    "boost_covariance_residual": {"v", "tau", "field_time"} | _GEOM,
+    "berry_balazs_trajectory": {"B", "t_list", "band", "family_eps"} | _GEOM,
+    "representation_crosscheck": {"params", "band"} | _GEOM,
+    "eps_to_zero_limit": {"xi", "t"} | _GEOM,
+    "eps_to_infinity_fidelity": {"tau"} | _GEOM,
+    "commutator_table": {"probe"} | _GEOM,
+}
+ECHOED = {
+    "params": {"eps", "xi", "t"},
+    "grid": {"n_points", "x_min", "x_max"},
+    "phys": {"hbar", "m"},
+    "window": {"kind", "interior_fraction"},
+    "band": {"p_plateau", "p_support"},
+    "probe": {"x0", "p0", "sigma"},
+}
+
+
 def _verify_parity(tmp_path, name, tols):
     grid, state, params, _, _ = PARITY[name]
     data = {"command": "Verify", "grid": grid,
@@ -471,6 +502,10 @@ class TestRegistry:
         expected = direct(make_grid(grid["n"], grid["x_min"], grid["x_max"]))
         assert entry == json.loads(json.dumps(expected.to_dict()))
         assert code == (EXIT_OK if expected.passed else EXIT_TOLERANCE)
+        config = entry["config"]
+        assert set(config) == REPORT_CONFIG[name]
+        for key in set(config) & set(ECHOED):
+            assert set(config[key]) == ECHOED[key], key
         # every declared bound judges a metric the experiment returns
         assert set(experiments.EXPERIMENTS[name][1]) <= set(entry["tolerances"])
         for key in entry["tolerances"]:

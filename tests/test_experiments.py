@@ -338,3 +338,66 @@ class TestReportIsPlain:
         assert isinstance(r, ExperimentReport)
         assert isinstance(r.metrics["distortion"], float)
         assert not isinstance(r.metrics["distortion"], np.floating)
+
+
+_C = CoherentParams(1.0, 0.5, 0.2)
+_PROBE = GaussianParams(0.5, 0.3, 1.5)
+# name -> (a call with every window and probe left to its default, those
+# defaults spelled out as arguments)
+DEFAULTED = {
+    "eigenrelation_residual": (
+        lambda g, **kw: eigenrelation_residual(_C, g, **kw),
+        {"w": Window.rect(0.5)}),
+    "shape_distortion": (
+        lambda g, **kw: shape_distortion(_C, 0.5, g, **kw),
+        {"w": Window.rect(0.5)}),
+    "evolution_equivalence": (
+        lambda g, **kw: evolution_equivalence(CoherentParams(1.0, 0.5), 0.3,
+                                              g, **kw),
+        {"w": Window.rect(0.5)}),
+    "basis_orthonormality": (
+        lambda g, **kw: basis_orthonormality(1.0, 0.2, g, n_states=32, **kw),
+        {"probe": GaussianParams(0.0, 0.0, 1.0)}),
+    "k_expectation_series": (
+        lambda g, **kw: k_expectation_series(gaussian_packet(_PROBE, g),
+                                             [0.0, 0.5], **kw),
+        {"w": Window.rect(0.5)}),
+    "boost_covariance_residual": (
+        lambda g, **kw: boost_covariance_residual(gaussian_packet(_PROBE, g),
+                                                  0.8, 0.7, **kw),
+        {"w": Window.rect(0.5)}),
+    "berry_balazs_trajectory": (
+        lambda g, **kw: berry_balazs_trajectory(1.5, [0.0, 0.5, 1.0], g,
+                                                **kw),
+        {"w": Window.rect(0.5)}),
+    "representation_crosscheck": (
+        lambda g, **kw: representation_crosscheck(_C, g, **kw),
+        {"w": Window.rect(0.5)}),
+    "eps_to_zero_limit": (
+        lambda g, **kw: eps_to_zero_limit([0.5, 0.2], 0.0, 1.0, g, **kw),
+        {"w": Window.rect(0.5)}),
+    "eps_to_infinity_fidelity": (
+        lambda g, **kw: eps_to_infinity_fidelity([1.0, 10.0], 0.5, g, **kw),
+        {"w": Window.rect(0.5)}),
+    "commutator_table": (
+        lambda g, **kw: commutator_table(g, **kw),
+        {"w": Window.rect(0.5), "probe": GaussianParams(0.0, 0.7, 1.5)}),
+}
+
+
+class TestDefaultsAreValues:
+    def test_every_window_and_probe_parameter_is_covered(self):
+        assert set(DEFAULTED) == {
+            name for name in experiments.EXPERIMENTS
+            if {"w", "probe"} & set(inspect.signature(
+                getattr(experiments, name)).parameters)}
+
+    @pytest.mark.parametrize("name", sorted(DEFAULTED))
+    def test_omitted_equals_old_default(self, grid64, name):
+        call, explicit = DEFAULTED[name]
+        assert call(grid64).to_dict() == call(grid64, **explicit).to_dict()
+
+    def test_density_shift_distortion_default_window(self, grid64):
+        field = perelomov_state(_C, Rep.MOMENTUM, grid64)
+        assert density_shift_distortion(field, 0.5, -0.35) == \
+            density_shift_distortion(field, 0.5, -0.35, Window.rect(0.5))
