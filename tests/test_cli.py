@@ -1,6 +1,7 @@
 """Config-driven runs: exit codes, artifact determinism, round trips."""
 
 import csv
+import errno
 import json
 import os
 import re
@@ -179,6 +180,67 @@ class TestExitCodes:
         assert report["metrics"]["prefactor_expected"] == pytest.approx(
             expected, rel=1e-15)
 
+    @pytest.mark.parametrize("data,message", [
+        (dict(BASE_VERIFY, experiment={
+            "name": "commutator_table",
+            "parameters": {"probe": {"x0": "a"}}}),
+         "config.experiment.parameters.probe.x0 must be a finite number, "
+         "got 'a'"),
+        (dict(BASE_VERIFY, experiment={
+            "name": "shape_distortion",
+            "parameters": {"tau": 0.5,
+                           "band": {"p_plateau": "x", "p_support": 3.0}}}),
+         "config.experiment.parameters.band.p_plateau must be a finite "
+         "number, got 'x'"),
+        (dict(BASE_VERIFY, phys={"m": -1.0}),
+         "config.phys.m: m must be finite and positive, got -1.0"),
+        ({"command": "State", "grid": {"n": 256, "x_min": -32.0, "x_max": 32.0},
+          "state": {"kind": "gaussian", "sigma": -1.0}},
+         "config.state.sigma: GaussianParams.sigma must be > 0, got -1.0"),
+    ], ids=["probe_value", "band_value", "phys_range", "state_range"])
+    def test_message_names_the_key_once(self, tmp_path, capsys, data,
+                                        message):
+        # a value the dataclass rejects is a config error at its own key,
+        # found before any computation
+        code, artifacts = run_config(write_config(tmp_path, data),
+                                     str(tmp_path / "out"))
+        assert (code, artifacts) == (EXIT_CONFIG, [])
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_write_failing_partway_exits_3(self, tmp_path, monkeypatch,
+                                           capsys):
+        real_fdopen = os.fdopen
+
+        class DiskFull:
+            """Takes the first chunk, then reports a full disk."""
+
+            def __init__(self, fh):
+                self.fh, self.chunks = fh, 0
+
+            def write(self, text):
+                if self.chunks:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                self.chunks += 1
+                return self.fh.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(os, "fdopen",
+                            lambda *a, **k: DiskFull(real_fdopen(*a, **k)))
+        data = {"command": "State",
+                "grid": {"n": 4096, "x_min": -64.0, "x_max": 64.0},
+                "state": {"kind": "gaussian", "sigma": 2.0}}
+        out = tmp_path / "out"
+        code, artifacts = run_config(write_config(tmp_path, data), str(out))
+        assert (code, artifacts) == (EXIT_IO, [])
+        assert "No space left" in capsys.readouterr().err
+        # neither the temp file nor a partial state.csv is left behind
+        assert os.listdir(out) == []
+
     def test_domain_error_during_execution(self, tmp_path):
         # validation passes, but the state cannot be resolved on the grid
         data = {
@@ -328,6 +390,125 @@ class TestEmitSvg:
         with pytest.raises(AirylabError, match="equal-length"):
             emit_svg_plot([("bad", np.arange(3), np.arange(4))],
                           str(tmp_path / "bad.svg"))
+
+
+# The writers as they were before they formatted whole arrays: one numpy
+# scalar at a time through an f-string.  Kept as the byte oracle.
+
+def _reference_csv(field):
+    x = field.grid.x
+    amps = field.amplitudes
+    rho = field.density()
+    lines = ["x,re,im,density"]
+    lines.extend(
+        f"{x[i]:.17g},{amps[i].real:.17g},{amps[i].imag:.17g},{rho[i]:.17g}"
+        for i in range(field.grid.n_points))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_svg(series):
+    from airylab.cli import (_MB, _ML, _MR, _MT, _PALETTE, _SVG_H, _SVG_W,
+                             _axis_range)
+    prepared = [(str(label), np.asarray(xs, dtype=float),
+                 np.asarray(ys, dtype=float)) for label, xs, ys in series]
+    x_lo, x_hi = _axis_range(min(float(s[1].min()) for s in prepared),
+                             max(float(s[1].max()) for s in prepared))
+    y_lo, y_hi = _axis_range(min(float(s[2].min()) for s in prepared),
+                             max(float(s[2].max()) for s in prepared))
+    iw = _SVG_W - _ML - _MR
+    ih = _SVG_H - _MT - _MB
+
+    def px(x):
+        return _ML + (x - x_lo) / (x_hi - x_lo) * iw
+
+    def py(y):
+        return _SVG_H - _MB - (y - y_lo) / (y_hi - y_lo) * ih
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SVG_W} {_SVG_H}">',
+        f'<rect x="0" y="0" width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
+        f'<line x1="{_ML}" y1="{_SVG_H - _MB}" x2="{_SVG_W - _MR}" '
+        f'y2="{_SVG_H - _MB}" stroke="black" stroke-width="1"/>',
+        f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_SVG_H - _MB}" '
+        'stroke="black" stroke-width="1"/>',
+    ]
+    for i in range(5):
+        xv = x_lo + i * (x_hi - x_lo) / 4.0
+        xp = px(xv)
+        parts.append(f'<line x1="{xp:.2f}" y1="{_SVG_H - _MB}" x2="{xp:.2f}" '
+                     f'y2="{_SVG_H - _MB + 6}" stroke="black" stroke-width="1"/>')
+        parts.append(f'<text x="{xp:.2f}" y="{_SVG_H - _MB + 22}" '
+                     f'font-family="monospace" font-size="13" '
+                     f'text-anchor="middle">{xv:.6g}</text>')
+        yv = y_lo + i * (y_hi - y_lo) / 4.0
+        yp = py(yv)
+        parts.append(f'<line x1="{_ML - 6}" y1="{yp:.2f}" x2="{_ML}" '
+                     f'y2="{yp:.2f}" stroke="black" stroke-width="1"/>')
+        parts.append(f'<text x="{_ML - 10}" y="{yp + 4:.2f}" '
+                     f'font-family="monospace" font-size="13" '
+                     f'text-anchor="end">{yv:.6g}</text>')
+    for k, (label, xs, ys) in enumerate(prepared):
+        color = _PALETTE[k % len(_PALETTE)]
+        pts = " ".join(f"{px(x):.3f},{py(y):.3f}" for x, y in zip(xs, ys))
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                     'stroke-width="1.5"/>')
+        ly = _MT + 18 + 20 * k
+        parts.append(f'<line x1="{_SVG_W - _MR - 150}" y1="{ly - 4}" '
+                     f'x2="{_SVG_W - _MR - 120}" y2="{ly - 4}" '
+                     f'stroke="{color}" stroke-width="1.5"/>')
+        text = label.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+        parts.append(f'<text x="{_SVG_W - _MR - 112}" y="{ly}" '
+                     f'font-family="monospace" font-size="13">{text}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+# signed zeros, the smallest subnormal, the largest decades, and values
+# whose 17th significant digit is rounded
+_EDGE_VALUES = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 2.0 / 3.0, 1e23,
+    np.nextafter(1.0, 2.0), 9007199254740993.0, -1.0 / 3.0])
+
+
+def _edge_field(n, with_nonfinite):
+    rng = np.random.default_rng(n)
+    amps = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n) \
+        + 1j * rng.standard_normal(n)
+    values = _EDGE_VALUES
+    if with_nonfinite:
+        values = np.append(values, [np.nan, np.inf, -np.inf, -np.nan])
+    k = min(n, values.size)
+    amps.real[:k] = values[:k]
+    amps.imag[-k:] = values[:k][::-1]
+    return WaveField(make_grid(n, -4.0 * n, 4.0 * n), Rep.POSITION, amps)
+
+
+class TestWriterBytes:
+    @pytest.mark.parametrize("n", [8, 16, 4096])
+    def test_csv_matches_scalar_formatting(self, tmp_path, n):
+        field = _edge_field(n, with_nonfinite=True)
+        path = tmp_path / "field.csv"
+        with np.errstate(over="ignore"):
+            emit_csv(field, str(path))
+            expected = _reference_csv(field)
+        assert path.read_bytes() == expected.encode("ascii")
+
+    @pytest.mark.parametrize("n", [8, 4096])
+    @pytest.mark.parametrize("n_series", [1, 2, 3])
+    def test_svg_matches_scalar_mapping(self, tmp_path, n, n_series):
+        rng = np.random.default_rng(n + n_series)
+        field = _edge_field(n, with_nonfinite=False)
+        series = [("density", field.grid.x, field.amplitudes.real),
+                  ("shuffled<&>", rng.permutation(field.grid.x),
+                   rng.standard_normal(n) * 1e-3),
+                  ("flat", rng.uniform(-1.0, 1.0, n), np.full(n, 2.5))]
+        for chosen in (series[:n_series], series[-n_series:]):
+            path = tmp_path / "plot.svg"
+            # +-1e308 overflow the y span to inf on both sides alike
+            with np.errstate(over="ignore", invalid="ignore"):
+                emit_svg_plot(chosen, str(path))
+                expected = _reference_svg(chosen)
+            assert path.read_bytes() == expected.encode("ascii")
 
 
 def _grid(n, lo, hi):
