@@ -7,6 +7,7 @@ The large-grid, tight-tolerance runs live in the acceptance suite.
 
 import inspect
 import json
+from dataclasses import asdict
 
 import mpmath
 import numpy as np
@@ -28,8 +29,10 @@ from airylab import (
     make_grid,
     perelomov_state,
     to_rep,
+    windowed_norm,
 )
 from airylab.airy import airy_ai
+from airylab.core import TWO_PI, window_weights
 from airylab.experiments import (
     _AIRY_AI_ZERO,
     ExperimentReport,
@@ -49,6 +52,8 @@ from airylab.experiments import (
     representation_crosscheck,
     shape_distortion,
 )
+from airylab.operators import GeneratorKind, apply_generator
+from airylab.states import _family_phase, _smoothstep
 
 
 @pytest.fixture(scope="module")
@@ -226,10 +231,85 @@ class TestOverlapPrefactor:
         assert _AIRY_AI_ZERO == special.airy(0.0)[0]
 
 
+def _reference_basis_orthonormality(eps, t, grid, n_states, window_fraction,
+                                    probe, sum_taper_frac):
+    """The full-grid metrics: every lattice state over all n bins, with
+    the window's zero-weight bins carried through each sum."""
+    hbar, m = grid.phys.hbar, grid.phys.m
+    ww = window_weights(grid, Window.rect(window_fraction), Rep.MOMENTUM)
+    m_pts = int(round(float(np.sum(ww))))
+    delta_xi = TWO_PI * m * hbar / (m_pts * grid.dp)
+    offsets = (np.arange(n_states) - (n_states - 1) / 2.0) * delta_xi
+    common = _family_phase(CoherentParams(eps, 0.0, t), grid)
+    norm = 1.0 / np.sqrt(TWO_PI * hbar * m)
+    states = norm * common * np.exp(1j * np.outer(offsets, grid.p) / (m * hbar))
+    weighted = states.conj() * ww
+    gram = (weighted @ states.T) * grid.dp
+    diag = np.real(np.diag(gram)).copy()
+    off = np.abs(gram - np.diag(np.diag(gram)))
+    probe_m = to_rep(gaussian_packet(probe, grid), Rep.MOMENTUM)
+    coeffs = (weighted @ probe_m.amplitudes) * grid.dp
+    u = (np.arange(n_states) + 0.5) / n_states
+    ramp = np.minimum(u, 1.0 - u) / max(sum_taper_frac, 1.0e-12)
+    sum_taper = _smoothstep(np.clip(ramp, 0.0, 1.0))
+    recon = ((coeffs * sum_taper) @ states) * delta_xi
+    diff = (recon - probe_m.amplitudes) * np.sqrt(ww)
+    ref = probe_m.amplitudes * np.sqrt(ww)
+    return {"diag_flatness": float(np.max(np.abs(diag * delta_xi - 1.0))),
+            "offdiag_suppression": float(np.min(diag) / np.max(off)),
+            "reconstruction_err": float(np.linalg.norm(diff)
+                                        / np.linalg.norm(ref)),
+            "delta_xi": float(delta_xi), "window_points": m_pts}
+
+
 class TestBasisOrthonormality:
     def test_empty_lattice_rejected(self, grid64):
         with pytest.raises(AirylabError, match="n_states"):
             basis_orthonormality(1.0, 0.0, grid64, n_states=0)
+
+    def test_lattice_no_larger_than_window(self):
+        # n = 256 on [-16, 16] keeps M = 129 bins at window_fraction 0.5;
+        # state i + M is state i again on them, so M + 1 states are no frame
+        grid = make_grid(256, -16.0, 16.0)
+        r = basis_orthonormality(1.0, 0.0, grid, n_states=129)
+        assert r.metrics["window_points"] == 129
+        assert r.metrics["offdiag_suppression"] > 1e12
+        with pytest.raises(AirylabError, match="n_states .* 129 bins"):
+            basis_orthonormality(1.0, 0.0, grid, n_states=130)
+
+    @pytest.mark.parametrize("frac", [-1.0, -1e-300, 0.5000001, 5.0,
+                                      float("nan")])
+    def test_sum_taper_frac_outside_domain_rejected(self, grid64, frac):
+        with pytest.raises(AirylabError, match="sum_taper_frac"):
+            basis_orthonormality(1.0, 0.0, grid64, sum_taper_frac=frac)
+
+    @pytest.mark.parametrize("frac", [0.0, 0.5])
+    def test_sum_taper_frac_domain_is_closed(self, grid64, frac):
+        r = basis_orthonormality(1.0, 0.0, grid64, sum_taper_frac=frac)
+        assert r.config["sum_taper_frac"] == frac
+
+    @pytest.mark.parametrize("window_fraction,n_states,sigma,phys", [
+        (0.25, 128, 2.0, PhysParams()),
+        (0.5, 128, 1.0, PhysParams()),
+        (1.0, 256, 1.0, PhysParams()),
+        (0.5, 128, 1.0, PhysParams(0.7, 2.5)),
+    ])
+    def test_window_bins_match_full_grid(self, window_fraction, n_states,
+                                         sigma, phys):
+        # dropping the zero-weight bins only reorders the sums: the metrics
+        # that measure roundoff move at roundoff, the rest stay put
+        grid = make_grid(1024, -32.0, 32.0, phys)
+        args = dict(n_states=n_states, window_fraction=window_fraction,
+                    probe=GaussianParams(sigma=sigma), sum_taper_frac=0.25)
+        got = basis_orthonormality(1.0, 0.2, grid, **args).metrics
+        ref = _reference_basis_orthonormality(1.0, 0.2, grid, **args)
+        assert got["delta_xi"] == ref["delta_xi"]
+        assert got["window_points"] == ref["window_points"]
+        assert got["diag_flatness"] <= 1e-15
+        assert got["offdiag_suppression"] == pytest.approx(
+            ref["offdiag_suppression"], rel=0.05)
+        assert got["reconstruction_err"] == pytest.approx(
+            ref["reconstruction_err"], rel=1e-9)
 
     def test_single_state_has_unbounded_suppression(self, grid64):
         r = basis_orthonormality(1.0, 0.0, grid64, n_states=1)
@@ -281,6 +361,83 @@ class TestConservationAndCovariance:
         for key in ("x_p", "x_h", "x_p3over6", "p_h", "p_p3over6",
                     "h_p3over6"):
             assert r.metrics[key] < 1e-7
+
+
+def _reference_commutator_table(grid, w, probe, tol):
+    """Every bracket and scale with each operator chain applied afresh."""
+    psi = gaussian_packet(probe, grid)
+    hbar, m = grid.phys.hbar, grid.phys.m
+
+    def X(f):
+        return apply_generator(GeneratorKind.x(), f)
+
+    def P(f):
+        return apply_generator(GeneratorKind.p(), f)
+
+    def H(f):
+        return apply_generator(GeneratorKind.h(), f)
+
+    def C3(f):
+        g = P(P(P(f)))
+        return g.with_amplitudes(g.amplitudes / 6.0)
+
+    def bracket(A, Bop):
+        lhs = A(Bop(psi))
+        rhs = Bop(A(psi))
+        return lhs.with_amplitudes(lhs.amplitudes - rhs.amplitudes)
+
+    cases = {
+        "x_p": (bracket(X, P), psi.with_amplitudes(1j * hbar * psi.amplitudes)),
+        "x_h": (bracket(X, H),
+                psi.with_amplitudes(1j * hbar / m * P(psi).amplitudes)),
+        "x_p3over6": (bracket(X, C3),
+                      psi.with_amplitudes(
+                          0.5j * hbar * P(P(psi)).amplitudes)),
+        "p_h": (bracket(P, H), None),
+        "p_p3over6": (bracket(P, C3), None),
+        "h_p3over6": (bracket(H, C3), None),
+    }
+    scales = {
+        "p_h": windowed_norm(P(H(psi)), w),
+        "p_p3over6": windowed_norm(P(C3(psi)), w),
+        "h_p3over6": windowed_norm(H(C3(psi)), w),
+    }
+    metrics = {}
+    for name, (got, expected) in cases.items():
+        if expected is None:
+            err = windowed_norm(got, w) / scales[name]
+        else:
+            diff = got.with_amplitudes(got.amplitudes - expected.amplitudes)
+            err = windowed_norm(diff, w) / windowed_norm(expected, w)
+        metrics[name] = float(err)
+    metrics["max_rel_err"] = float(max(metrics.values()))
+    config = {**experiments._geometry(grid, w), "probe": asdict(probe)}
+    return ExperimentReport("commutator_table", metrics, config,
+                            {"max_rel_err": tol},
+                            metrics["max_rel_err"] <= tol).to_dict()
+
+
+class TestCommutatorTable:
+    @pytest.mark.parametrize("phys", [PhysParams(), PhysParams(0.7, 2.5)])
+    def test_equals_fresh_application(self, monkeypatch, phys):
+        # each chain applied once gives the very same report, from 30
+        # transforms where applying every chain afresh takes 86
+        grid = make_grid(1024, -32.0, 32.0, phys)
+        w, probe = Window.rect(0.5), GaussianParams(0.3, 0.5, 1.5)
+        ref = _reference_commutator_table(grid, w, probe, 1e-7)
+        calls = []
+
+        def counted(transform):
+            def call(a):
+                calls.append(transform)
+                return transform(a)
+            return call
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        got = commutator_table(grid, w=w, probe=probe, tol=1e-7).to_dict()
+        assert got == ref
+        assert len(calls) == 30
 
 
 class TestBerryBalazsTrajectory:
