@@ -5,7 +5,8 @@ The config file is the provenance: a JSON document selecting a command
 for verification commands an experiment spec with parameter and
 tolerance overrides.  The grid is built with the constants and carries
 them into every computation.  Everything is validated before any
-computation; unknown keys are rejected at every level.  What an
+computation; unknown keys are rejected at every level, and so is a
+section or output that the command does not read (`_COMMANDS`).  What an
 experiment accepts is its signature, as `experiments.EXPERIMENTS`
 derives it: each parameter the config may give, with its validator and
 required when it has no default, and each tolerance keyword; `c` or
@@ -26,6 +27,7 @@ into place, so readers never observe a half-written file.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import os
@@ -47,7 +49,7 @@ from .core import (
     windowed_norm,
 )
 from . import experiments
-from .experiments import _parabolic_peak
+from .experiments import ExperimentReport, _parabolic_peak
 from .operators import free_evolve
 from .states import (
     BandTaper,
@@ -341,7 +343,7 @@ _STATE_KINDS = {
 _STATE_PARAMS = {"perelomov": CoherentParams, "gaussian": GaussianParams}
 
 
-def _validate_state_spec(spec, where: str) -> dict:
+def _validate_state_spec(spec, where: str) -> tuple[dict, object]:
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be an object")
     kind = _strval(spec.get("kind", ""), f"{where}.kind") \
@@ -356,21 +358,19 @@ def _validate_state_spec(spec, where: str) -> dict:
         if key in spec:
             out[key] = _parse_band(spec[key], f"{where}.{key}") \
                 if key == "band" else _num(spec[key], f"{where}.{key}")
-    if kind in _STATE_PARAMS:
-        _given(_STATE_PARAMS[kind], out, where)
-    return out
+    return out, (_given(_STATE_PARAMS[kind], out, where)
+                 if kind in _STATE_PARAMS else None)
 
 
-def _build_state(spec: dict, grid: Grid) -> WaveField:
+def _build_state(cfg: RunConfig) -> WaveField:
+    spec, labels, grid = cfg.state_spec, cfg.state_labels, cfg.grid
     kind = spec["kind"]
     if kind == "perelomov":
-        mom = perelomov_state(_given(CoherentParams, spec, "config.state"),
-                              Rep.MOMENTUM, grid,
+        mom = perelomov_state(labels, Rep.MOMENTUM, grid,
                               band=spec.get("band", "auto"))
         return to_rep(mom, Rep.POSITION)
     if kind == "gaussian":
-        return gaussian_packet(_given(GaussianParams, spec, "config.state"),
-                               grid)
+        return gaussian_packet(labels, grid)
     if kind == "berry_balazs":
         return berry_balazs_initial(spec["B"], grid)
     return xi_eigenstate_x(spec["xi"], spec["t"], grid)
@@ -409,33 +409,54 @@ def _validate_experiment_spec(spec, where: str, state_spec) -> dict:
     return {"name": name, "params": params, "tols": tols}
 
 
-_COMMANDS = ("State", "Evolve", "Verify", "Scan")
+# command -> (config section -> what the command requires when it is
+# missing, or None where the command only reads it; output -> its default
+# path, or None where it is written only when the config names it).  A
+# section or output that a command does not list is rejected.
+_COMMANDS = {
+    "State": ({"state": "config.state"},
+              {"report": "report.json", "csv": "state.csv", "svg": None}),
+    "Evolve": ({"state": "config.state", "evolve": "config.evolve"},
+               {"report": "report.json", "csv": "state.csv",
+                "trajectory_csv": "trajectory.csv", "svg": None}),
+    "Verify": ({"experiment": "config.experiment", "state": None},
+               {"report": "report.json"}),
+    "Scan": ({"experiments": "a non-empty config.experiments array",
+              "state": None}, {"report": "report.json"}),
+}
+_SECTIONS = ("state", "experiment", "experiments", "evolve")
 _OUTPUT_KEYS = ("report", "csv", "trajectory_csv", "svg")
+
+
+def _stray(where: str, key: str, part: int) -> ConfigError:
+    """`where` is a section (part 0) or an output (part 1) of other commands."""
+    users = "/".join(c for c, spec in _COMMANDS.items() if key in spec[part])
+    return ConfigError(f"{where} only applies to {users}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run description: command, grid (which holds the physical
-    constants), state, experiments."""
+    constants), state with its labels, experiments."""
 
     command: str
     grid: Grid
     state_spec: dict | None
+    state_labels: CoherentParams | GaussianParams | None
     experiments: tuple
     evolve_taus: tuple
     outputs: dict
 
     @classmethod
     def from_dict(cls, data) -> "RunConfig":
-        _check_keys(data, "config",
-                    ("command", "grid"),
-                    ("phys", "state", "experiment", "experiments", "evolve",
-                     "output"))
+        _check_keys(data, "config", ("command", "grid"),
+                    ("phys", "output") + _SECTIONS)
         command = _strval(data["command"], "config.command")
         if command not in _COMMANDS:
             raise ConfigError(
                 f"config.command must be one of {list(_COMMANDS)}, "
                 f"got {command!r}")
+        sections, writes = _COMMANDS[command]
         _check_keys(data["grid"], "config.grid", ("n", "x_min", "x_max"), ())
         phys_spec = data.get("phys", {})
         _check_keys(phys_spec, "config.phys", (), ("hbar", "m"))
@@ -449,72 +470,56 @@ class RunConfig:
                              phys)
         except (AirylabError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        state_spec = None
-        if "state" in data:
-            state_spec = _validate_state_spec(data["state"], "config.state")
-        if command in ("State", "Evolve") and state_spec is None:
-            raise ConfigError(f"command {command} requires config.state")
+        for key in _SECTIONS:
+            if key in data and key not in sections:
+                raise _stray(f"config.{key}", key, 0)
+            if sections.get(key) and key not in data:
+                raise ConfigError(f"command {command} requires {sections[key]}")
+        state_spec, labels = (_validate_state_spec(data["state"], "config.state")
+                              if "state" in data else (None, None))
         runs: list = []
-        if command == "Verify":
-            if "experiment" not in data:
-                raise ConfigError("command Verify requires config.experiment")
+        if "experiment" in data:
             runs = [_validate_experiment_spec(data["experiment"],
                                               "config.experiment", state_spec)]
-        elif command == "Scan":
-            specs = data.get("experiments")
+        if "experiments" in data:
+            specs = data["experiments"]
             if not isinstance(specs, list) or not specs:
                 raise ConfigError(
-                    "command Scan requires a non-empty config.experiments array")
+                    f"command {command} requires {sections['experiments']}")
             runs = [_validate_experiment_spec(s, f"config.experiments[{i}]",
                                               state_spec)
                     for i, s in enumerate(specs)]
-        else:
-            for key in ("experiment", "experiments"):
-                if key in data:
-                    raise ConfigError(
-                        f"config.{key} only applies to Verify/Scan")
         evolve_taus: tuple = ()
-        if command == "Evolve":
-            if "evolve" not in data:
-                raise ConfigError("command Evolve requires config.evolve")
+        if "evolve" in data:
             _check_keys(data["evolve"], "config.evolve", ("taus",), ())
             evolve_taus = tuple(_numlist(data["evolve"]["taus"],
                                          "config.evolve.taus"))
-        elif "evolve" in data:
-            raise ConfigError("config.evolve only applies to Evolve")
         out_spec = data.get("output", {})
         _check_keys(out_spec, "config.output", (), _OUTPUT_KEYS)
-        outputs = {k: _strval(v, f"config.output.{k}")
-                   for k, v in out_spec.items()}
-        outputs.setdefault("report", "report.json")
-        if command == "State":
-            outputs.setdefault("csv", "state.csv")
-        if command == "Evolve":
-            outputs.setdefault("csv", "state.csv")
-            outputs.setdefault("trajectory_csv", "trajectory.csv")
-        return cls(command=command, grid=grid,
-                   state_spec=state_spec, experiments=tuple(runs),
+        outputs = {k: v for k, v in writes.items() if v is not None}
+        for key, path in out_spec.items():
+            if key not in writes:
+                raise _stray(f"config.output.{key}", key, 1)
+            outputs[key] = _strval(path, f"config.output.{key}")
+        return cls(command=command, grid=grid, state_spec=state_spec,
+                   state_labels=labels, experiments=tuple(runs),
                    evolve_taus=evolve_taus, outputs=outputs)
 
 
 # ----------------------------------------------------------------------
 # execution
 
-def _run_experiment(cfg: RunConfig, spec: dict):
+def _run_experiment(cfg: RunConfig, spec: dict, state):
     """Call the named experiment, looked up on its module at call time,
     with the validated parameters and tolerances as keywords; anything
-    not given keeps the function's own default."""
+    not given keeps the function's own default; `state()` is the built state."""
     run = getattr(experiments, spec["name"])
     signature = inspect.signature(run).parameters
     kwargs = {_KEYWORDS.get(k, k): v for k, v in spec["params"].items()}
-    if "grid" in signature:
-        kwargs["grid"] = cfg.grid
-    if "phys" in signature:
-        kwargs["phys"] = cfg.grid.phys
-    if "c" in signature:
-        kwargs["c"] = _given(CoherentParams, cfg.state_spec, "config.state")
+    supplied = {"grid": cfg.grid, "phys": cfg.grid.phys, "c": cfg.state_labels}
+    kwargs.update((k, v) for k, v in supplied.items() if k in signature)
     if "field" in signature:
-        kwargs["field"] = _build_state(cfg.state_spec, cfg.grid)
+        kwargs["field"] = state()
     return run(**kwargs, **spec["tols"])
 
 
@@ -528,51 +533,42 @@ def _execute(cfg: RunConfig, out_dir: str, echo, seed) -> tuple[bool, list]:
         artifacts.append(path)
         return path
 
-    reports = []
-    passed = True
-    if cfg.command in ("State", "Evolve"):
-        field = _build_state(cfg.state_spec, cfg.grid)
-        if cfg.command == "State":
-            emit_csv(field, target("csv"))
-            if "svg" in cfg.outputs:
-                emit_svg_plot([("density", cfg.grid.x, field.density())],
-                              target("svg"))
-            reports.append({
-                "name": "state",
-                "metrics": {"l2_norm": windowed_norm(field),
-                            "time": field.time},
-                "config": cfg.state_spec, "tolerances": {}, "passed": True})
-        else:
-            rows = []
-            for tau in cfg.evolve_taus:
-                final = to_rep(free_evolve(field, tau), Rep.POSITION)
-                if not rows:
-                    first = final
-                rows.append((final.time, _parabolic_peak(final)))
-            emit_csv(final, target("csv"))
-            emit_csv(rows, target("trajectory_csv"))
-            if "svg" in cfg.outputs:
-                emit_svg_plot(
-                    [(f"tau={cfg.evolve_taus[0]:g}", cfg.grid.x,
-                      first.density()),
-                     (f"tau={cfg.evolve_taus[-1]:g}", cfg.grid.x,
-                      final.density())],
-                    target("svg"))
-            reports.append({
-                "name": "evolve",
-                "metrics": {"taus": list(cfg.evolve_taus),
-                            "peaks": [r[1] for r in rows]},
-                "config": cfg.state_spec, "tolerances": {}, "passed": True})
+    state = functools.cache(lambda: _build_state(cfg))
+    if cfg.command == "State":
+        field = state()
+        emit_csv(field, target("csv"))
+        if "svg" in cfg.outputs:
+            emit_svg_plot([("density", cfg.grid.x, field.density())],
+                          target("svg"))
+        runs = [ExperimentReport(
+            "state", {"l2_norm": windowed_norm(field), "time": field.time},
+            cfg.state_spec, {}, True)]
+    elif cfg.command == "Evolve":
+        rows = []
+        for tau in cfg.evolve_taus:
+            final = to_rep(free_evolve(state(), tau), Rep.POSITION)
+            if not rows:
+                first = final
+            rows.append((final.time, _parabolic_peak(final)))
+        emit_csv(final, target("csv"))
+        emit_csv(rows, target("trajectory_csv"))
+        if "svg" in cfg.outputs:
+            emit_svg_plot(
+                [(f"tau={cfg.evolve_taus[0]:g}", cfg.grid.x, first.density()),
+                 (f"tau={cfg.evolve_taus[-1]:g}", cfg.grid.x,
+                  final.density())],
+                target("svg"))
+        runs = [ExperimentReport(
+            "evolve", {"taus": list(cfg.evolve_taus),
+                       "peaks": [r[1] for r in rows]},
+            cfg.state_spec, {}, True)]
     else:
-        for spec in cfg.experiments:
-            rep = _run_experiment(cfg, spec)
-            reports.append(rep.to_dict())
-            passed = passed and rep.passed
-
+        runs = [_run_experiment(cfg, spec, state) for spec in cfg.experiments]
+    passed = all(r.passed for r in runs)
     payload = {
         "command": cfg.command,
-        "passed": bool(passed),
-        "reports": reports,
+        "passed": passed,
+        "reports": [r.to_dict() for r in runs],
         "config": echo,
         "seed": seed,
     }

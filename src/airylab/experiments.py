@@ -205,6 +205,23 @@ def _parabolic_peak(field: WaveField) -> float:
     return float(grid.x[j] + 0.5 * grid.dx * (rho[j - 1] - rho[j + 1]) / d2)
 
 
+def _member(c: CoherentParams, times, grid: Grid,
+            band: BandTaper | str | None) -> tuple[WaveField, dict | None]:
+    """c's momentum build, banded over the label times, and its band echo."""
+    band_r = _plan_band(c, times, grid, band)
+    return (perelomov_state(c, Rep.MOMENTUM, grid, band=band_r),
+            None if band_r is None else asdict(band_r))
+
+
+def _weight(field: WaveField, w: Window,
+            message: str = "no weight inside the window") -> float:
+    """A windowed norm that a metric divides by; GeometryError if it is 0."""
+    norm = windowed_norm(field, w)
+    if norm == 0.0:
+        raise GeometryError(message)
+    return norm
+
+
 @_experiment({"residual": "tol"})
 def eigenrelation_residual(
     c: CoherentParams,
@@ -222,19 +239,17 @@ def eigenrelation_residual(
     negative control and must fail the tolerance.
     """
     probe = c.xi if xi_probe is None else float(xi_probe)
-    band_r = _plan_band(c, [c.t], grid, band)
-    psi = to_rep(perelomov_state(c, Rep.MOMENTUM, grid, band=band_r), Rep.POSITION)
+    mom, band_echo = _member(c, [c.t], grid, band)
+    psi = to_rep(mom, Rep.POSITION)
     kpsi = apply_generator(GeneratorKind.k(c.t), psi)
     hpsi = apply_generator(GeneratorKind.h(), psi)
     res = psi.with_amplitudes(
         kpsi.amplitudes + c.eps * hpsi.amplitudes - probe * psi.amplitudes)
-    denom = windowed_norm(psi, w)
-    if denom == 0.0:
-        raise GeometryError("state has no weight inside the window")
+    denom = _weight(psi, w, "state has no weight inside the window")
     r = windowed_norm(res, w) / denom
     return ({"residual": float(r), "windowed_norm": float(denom)},
             {"params": asdict(c), "xi_probe": probe, **_geometry(grid, w),
-             "band": None if band_r is None else asdict(band_r)})
+             "band": band_echo})
 
 
 @_experiment({"rel_err": "tol_rel"})
@@ -265,8 +280,7 @@ def acceleration_fit(
         raise GeometryError(
             f"expected peak travel {travel:.3g} spans fewer than 20 grid "
             "steps; widen the tau range")
-    band_r = _plan_band(c, [c.t + taus.min(), c.t + taus.max()], grid, band)
-    mom0 = perelomov_state(c, Rep.MOMENTUM, grid, band=band_r)
+    mom0, band_echo = _member(c, [c.t + lo, c.t + hi], grid, band)
     peaks = []
     for tau in taus:
         evolved = to_rep(free_evolve(mom0, float(tau)), Rep.POSITION)
@@ -281,8 +295,7 @@ def acceleration_fit(
              "accel_expected_abs": 1.0 / abs(c.eps),
              "rel_err": float(rel_err), "fit_residual": fit_resid,
              "peaks": _floats(peaks), "taus": _floats(taus)},
-            {"params": asdict(c), **_geometry(grid),
-             "band": None if band_r is None else asdict(band_r)})
+            {"params": asdict(c), **_geometry(grid), "band": band_echo})
 
 
 def density_shift_distortion(
@@ -334,13 +347,12 @@ def shape_distortion(
     tau = float(tau)
     if c.eps == 0.0:
         raise GeometryError("eps = 0 does not displace rigidly; no prediction")
-    band_r = _plan_band(c, [c.t, c.t + tau], grid, band)
-    mom0 = perelomov_state(c, Rep.MOMENTUM, grid, band=band_r)
+    mom0, band_echo = _member(c, [c.t, c.t + tau], grid, band)
     displacement = -((c.t + tau) ** 2 - c.t ** 2) / (2.0 * c.eps)
     d = density_shift_distortion(mom0, tau, displacement, w)
     return ({"distortion": float(d), "displacement": float(displacement)},
             {"params": asdict(c), "tau": tau, **_geometry(grid, w),
-             "band": None if band_r is None else asdict(band_r)})
+             "band": band_echo})
 
 
 @_experiment({"fidelity_deficit": "tol_fidelity",
@@ -372,8 +384,7 @@ def evolution_equivalence(
             f"the factorization needs eps^2 > 0 in float64, got eps = {c.eps}")
     if c.t != 0.0:
         raise AirylabError("the identity is anchored at label time t = 0")
-    band_r = _plan_band(c, [0.0, tau], grid, band)
-    mom0 = perelomov_state(c, Rep.MOMENTUM, grid, band=band_r)
+    mom0, band_echo = _member(c, [0.0, tau], grid, band)
     lhs = to_rep(free_evolve(mom0, tau), Rep.POSITION)
     rhs, cubic = _translate_boost(mom0, tau / c.eps, c.eps, 0.0)
     scalar = np.exp(-1j * tau * c.xi / (grid.phys.hbar * c.eps))
@@ -382,17 +393,13 @@ def evolution_equivalence(
     rhs = to_rep(rhs.with_amplitudes(scalar * rhs.amplitudes, time=tau),
                  Rep.POSITION)
     ip = inner_product(lhs, rhs, w)
-    na, nb = windowed_norm(lhs, w), windowed_norm(rhs, w)
-    if na == 0.0 or nb == 0.0:
-        raise GeometryError("no weight inside the window")
-    fidelity = abs(ip) / (na * nb)
+    fidelity = abs(ip) / (_weight(lhs, w) * _weight(rhs, w))
     deficit = max(0.0, 1.0 - fidelity)
     phase = abs(float(np.angle(ip)))
     return ({"fidelity": float(fidelity), "fidelity_deficit": float(deficit),
              "phase_discrepancy": phase},
             {"params": asdict(c), "tau": tau, **_geometry(grid, w),
-             "band": None if band_r is None else asdict(band_r),
-             "drop_cubic_phase": bool(drop_cubic_phase)})
+             "band": band_echo, "drop_cubic_phase": bool(drop_cubic_phase)})
 
 
 def _pair_overlap(ca: CoherentParams, cb: CoherentParams,
@@ -584,11 +591,14 @@ def k_expectation_series(
     is conserved to roundoff.
     """
     taus = [float(t) for t in taus]
+    if len(taus) < 2:
+        raise AirylabError("need at least two sample times for a drift")
     values = []
     for tau in taus:
         evolved = free_evolve(field, tau)
         kf = apply_generator(GeneratorKind.k(evolved.time), evolved)
-        norm2 = windowed_norm(evolved, w) ** 2
+        # the square can underflow where the norm does not
+        norm2 = _weight(evolved, w) ** 2
         if norm2 == 0.0:
             raise GeometryError("no weight inside the window")
         values.append(float(np.real(inner_product(evolved, kf, w)) / norm2))
@@ -618,11 +628,8 @@ def boost_covariance_residual(
     v, tau = float(v), float(tau)
     a = boost(free_evolve(field, tau), BoostParams(v, field.time + tau))
     b = free_evolve(boost(field, BoostParams(v, field.time)), tau)
-    na = windowed_norm(a, w)
-    if na == 0.0:
-        raise GeometryError("no weight inside the window")
     diff = a.with_amplitudes(a.amplitudes - b.amplitudes)
-    resid = windowed_norm(diff, w) / na
+    resid = windowed_norm(diff, w) / _weight(a, w)
     time_skew = abs(a.time - b.time)
     if time_skew != 0.0:
         # both orderings reach field.time + tau by the same float addition
@@ -670,8 +677,7 @@ def berry_balazs_trajectory(
     coeff_rel_err = abs(coeff / coeff_expected - 1.0)
 
     c = CoherentParams(eps=-2.0 * m * m / B ** 3, xi=0.0, t=0.0)
-    band_r = _plan_band(c, [0.0, ts.max()], grid, band)
-    mom0 = perelomov_state(c, Rep.MOMENTUM, grid, band=band_r)
+    mom0, band_echo = _member(c, [0.0, ts.max()], grid, band)
     # each member is evolved once for both its distortion and its peak
     pos0 = to_rep(mom0, Rep.POSITION)
     ww = window_weights(grid, w, Rep.POSITION)
@@ -696,8 +702,7 @@ def berry_balazs_trajectory(
              "distortion_max": distortion_max,
              "family_coeff_rel_diff": float(family_coeff_rel_diff)},
             {"B": B, "t_list": _floats(ts), **_geometry(grid, w),
-             "band": None if band_r is None else asdict(band_r),
-             "family_eps": c.eps})
+             "band": band_echo, "family_eps": c.eps})
 
 
 @_experiment({"sup_rel": "tol"})
@@ -716,8 +721,8 @@ def representation_crosscheck(
     two constructions must agree.
     """
     closed = perelomov_state(c, Rep.POSITION, grid)
-    band_r = _plan_band(c, [c.t], grid, band)
-    via_fft = to_rep(perelomov_state(c, Rep.MOMENTUM, grid, band=band_r), Rep.POSITION)
+    mom, band_echo = _member(c, [c.t], grid, band)
+    via_fft = to_rep(mom, Rep.POSITION)
     ww = window_weights(grid, w, Rep.POSITION)
     diff = ww * np.abs(closed.amplitudes - via_fft.amplitudes)
     scale = float(np.max(ww * np.abs(closed.amplitudes)))
@@ -725,10 +730,10 @@ def representation_crosscheck(
         raise GeometryError("closed form has no weight inside the window")
     sup_rel = float(np.max(diff) / scale)
     dd = closed.with_amplitudes(closed.amplitudes - via_fft.amplitudes)
-    l2_rel = windowed_norm(dd, w) / windowed_norm(closed, w)
+    l2_rel = windowed_norm(dd, w) / _weight(
+        closed, w, "closed form has no weight inside the window")
     return ({"sup_rel": sup_rel, "l2_rel": float(l2_rel)},
-            {"params": asdict(c), **_geometry(grid, w),
-             "band": None if band_r is None else asdict(band_r)})
+            {"params": asdict(c), **_geometry(grid, w), "band": band_echo})
 
 
 @_experiment({"monotone_decreasing": True})
@@ -749,10 +754,12 @@ def eps_to_zero_limit(
     if t == 0.0:
         raise GeometryError("the eps -> 0 closed form needs t != 0")
     eps_seq = [float(e) for e in eps_seq]
+    if len(eps_seq) < 2:
+        raise AirylabError("need at least two eps values for a trend")
     if not all(a > b > 0.0 for a, b in zip(eps_seq, eps_seq[1:])):
         raise AirylabError("eps_seq must be positive and strictly decreasing")
     ref = perelomov_state(CoherentParams(0.0, xi, t), Rep.POSITION, grid)
-    ref_norm = windowed_norm(ref, w)
+    ref_norm = _weight(ref, w)
     errors = []
     for e in eps_seq:
         psi = to_rep(perelomov_state(CoherentParams(e, xi, t), Rep.MOMENTUM,
@@ -781,18 +788,17 @@ def eps_to_infinity_fidelity(
     """
     tau = float(tau)
     eps_seq = [float(e) for e in eps_seq]
+    if len(eps_seq) < 2:
+        raise AirylabError("need at least two eps values for a trend")
     if not all(0.0 < a < b for a, b in zip(eps_seq, eps_seq[1:])):
         raise AirylabError("eps_seq must be positive and strictly increasing")
     fidelities = []
     for e in eps_seq:
-        c = CoherentParams(e, 0.0, 0.0)
-        band_r = _plan_band(c, [0.0, tau], grid, band)
-        mom0 = perelomov_state(c, Rep.MOMENTUM, grid, band=band_r)
+        mom0, _ = _member(CoherentParams(e, 0.0, 0.0), [0.0, tau], grid, band)
         psi0 = to_rep(mom0, Rep.POSITION)
         psi_tau = to_rep(free_evolve(mom0, tau), Rep.POSITION)
         ip = inner_product(psi0, psi_tau, w)
-        fidelities.append(abs(ip) / (windowed_norm(psi0, w)
-                                     * windowed_norm(psi_tau, w)))
+        fidelities.append(abs(ip) / (_weight(psi0, w) * _weight(psi_tau, w)))
     monotone = all(a < b for a, b in zip(fidelities, fidelities[1:]))
     return ({"fidelities": _floats(fidelities), "eps_seq": _floats(eps_seq),
              "monotone_increasing": bool(monotone)},
@@ -856,9 +862,9 @@ def commutator_table(
         "h_p3over6": (bracket(H, C3), None),
     }
     scales = {
-        "p_h": windowed_norm(P(H(psi)), w),
-        "p_p3over6": windowed_norm(P(C3(psi)), w),
-        "h_p3over6": windowed_norm(H(C3(psi)), w),
+        "p_h": _weight(P(H(psi)), w),
+        "p_p3over6": _weight(P(C3(psi)), w),
+        "h_p3over6": _weight(H(C3(psi)), w),
     }
     metrics = {}
     for name, (got, expected) in cases.items():
@@ -866,7 +872,7 @@ def commutator_table(
             err = windowed_norm(got, w) / scales[name]
         else:
             diff = got.with_amplitudes(got.amplitudes - expected.amplitudes)
-            err = windowed_norm(diff, w) / windowed_norm(expected, w)
+            err = windowed_norm(diff, w) / _weight(expected, w)
         metrics[name] = float(err)
     max_rel = max(metrics.values())
     metrics["max_rel_err"] = float(max_rel)

@@ -2,8 +2,13 @@
 
 Every operator here is diagonal (or local) in one representation, so
 applications are exact for the grid-represented field: no Trotter
-splitting, no finite differences, no dense matrices.  Unitaries return
-a field in the same representation they received.
+splitting, no finite differences, no dense matrices.  Each diagonal
+step takes one path, `_diagonal`: move the field to the operator's
+representation, multiply by the diagonal factor, and move it back, so
+every operator returns a field in the representation it received.  The
+generators x, p, H, the translation, the boost's kick, free evolution
+and the displacement unitary are each one such step; K(t) and the
+Zassenhaus product compose them.
 
 hbar and the mass m come from the field's grid (`grid.phys`).
 
@@ -73,6 +78,15 @@ class BoostParams:
             raise AirylabError("BoostParams require finite v and t")
 
 
+def _diagonal(field: WaveField, rep: Rep, factor, time: float | None = None) -> WaveField:
+    """factor times the field in rep, returned in the field's own rep and
+    stamped with `time` (default: the field's own).  The factor stays the
+    left operand: numpy's complex product is not bitwise commutative."""
+    moved = to_rep(field, rep)
+    out = moved.with_amplitudes(factor * moved.amplitudes, time=time)
+    return to_rep(out, field.rep)
+
+
 def apply_generator(kind: GeneratorKind, field: WaveField) -> WaveField:
     """Apply one generator, diagonal in its own representation.
 
@@ -81,18 +95,11 @@ def apply_generator(kind: GeneratorKind, field: WaveField) -> WaveField:
     """
     m = field.grid.phys.m
     if kind.tag == "x":
-        pos = to_rep(field, Rep.POSITION)
-        out = pos.with_amplitudes(field.grid.x * pos.amplitudes)
-        return to_rep(out, field.rep)
+        return _diagonal(field, Rep.POSITION, field.grid.x)
     if kind.tag == "p":
-        mom = to_rep(field, Rep.MOMENTUM)
-        out = mom.with_amplitudes(field.grid.p * mom.amplitudes)
-        return to_rep(out, field.rep)
+        return _diagonal(field, Rep.MOMENTUM, field.grid.p)
     if kind.tag == "h":
-        mom = to_rep(field, Rep.MOMENTUM)
-        out = mom.with_amplitudes(
-            field.grid.p ** 2 / (2.0 * m) * mom.amplitudes)
-        return to_rep(out, field.rep)
+        return _diagonal(field, Rep.MOMENTUM, field.grid.p ** 2 / (2.0 * m))
     pa = apply_generator(GeneratorKind.p(), field)
     xa = apply_generator(GeneratorKind.x(), field)
     return field.with_amplitudes(kind.t * pa.amplitudes - m * xa.amplitudes)
@@ -103,10 +110,8 @@ def translate(field: WaveField, a: float) -> WaveField:
     a = float(a)
     if not np.isfinite(a):
         raise AirylabError("translation distance must be finite")
-    mom = to_rep(field, Rep.MOMENTUM)
-    out = mom.with_amplitudes(
-        np.exp(-1j * field.grid.p * a / field.grid.hbar) * mom.amplitudes)
-    return to_rep(out, field.rep)
+    return _diagonal(field, Rep.MOMENTUM,
+                     np.exp(-1j * field.grid.p * a / field.grid.hbar))
 
 
 def boost(field: WaveField, b: BoostParams) -> WaveField:
@@ -119,11 +124,9 @@ def boost(field: WaveField, b: BoostParams) -> WaveField:
     if not np.isfinite(b.v * b.v * b.t):
         raise GeometryError(
             f"boost phase m v^2 t/2 hbar overflows at v = {b.v}, t = {b.t}")
-    shifted = to_rep(translate(field, -b.v * b.t), Rep.POSITION)
-    amps = (np.exp(-1j * m * b.v ** 2 * b.t / (2.0 * hbar))
-            * np.exp(-1j * b.v * m * field.grid.x / hbar)
-            * shifted.amplitudes)
-    return to_rep(shifted.with_amplitudes(amps), field.rep)
+    factor = (np.exp(-1j * m * b.v ** 2 * b.t / (2.0 * hbar))
+              * np.exp(-1j * b.v * m * field.grid.x / hbar))
+    return _diagonal(translate(field, -b.v * b.t), Rep.POSITION, factor)
 
 
 def free_evolve(field: WaveField, tau: float) -> WaveField:
@@ -132,11 +135,9 @@ def free_evolve(field: WaveField, tau: float) -> WaveField:
     if not np.isfinite(tau):
         raise AirylabError("evolution time must be finite")
     hbar, m = field.grid.phys.hbar, field.grid.phys.m
-    mom = to_rep(field, Rep.MOMENTUM)
-    amps = np.exp(-1j * field.grid.p ** 2 * tau / (2.0 * m * hbar)) * mom.amplitudes
-    out = WaveField(grid=mom.grid, rep=Rep.MOMENTUM, amplitudes=amps,
-                    time=field.time + tau)
-    return to_rep(out, field.rep)
+    return _diagonal(field, Rep.MOMENTUM,
+                     np.exp(-1j * field.grid.p ** 2 * tau / (2.0 * m * hbar)),
+                     time=field.time + tau)
 
 
 def apply_displacement_U(field: WaveField, c: CoherentParams) -> WaveField:
@@ -145,9 +146,7 @@ def apply_displacement_U(field: WaveField, c: CoherentParams) -> WaveField:
     U(eps, t, xi) = exp((i/hbar)(xi p/m - t p^2/2m - eps p^3/6m^2)).
     On the flat fiducial state it is perelomov_state(c, band=None).
     """
-    mom = to_rep(field, Rep.MOMENTUM)
-    phase = _family_phase(c, field.grid)
-    return to_rep(mom.with_amplitudes(phase * mom.amplitudes), field.rep)
+    return _diagonal(field, Rep.MOMENTUM, _family_phase(c, field.grid))
 
 
 def _translate_boost(field: WaveField, v: float, eps: float,

@@ -25,6 +25,7 @@ from airylab import (
     perelomov_state,
     to_rep,
 )
+from airylab import cli
 from airylab.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -207,6 +208,52 @@ class TestExitCodes:
         assert (code, artifacts) == (EXIT_CONFIG, [])
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("data,message", [
+        (dict(BASE_VERIFY, experiments=[{"name": "no_such_experiment"}]),
+         "config.experiments only applies to Scan"),
+        ({"command": "Scan", "grid": BASE_VERIFY["grid"],
+          "experiments": [{"name": "commutator_table"}],
+          "experiment": {"name": "bogus", "parameters": {"nonsense": 1}}},
+         "config.experiment only applies to Verify"),
+        ({"command": "State", "grid": {"n": 256, "x_min": -32.0, "x_max": 32.0},
+          "state": {"kind": "gaussian"},
+          "output": {"trajectory_csv": "t.csv"}},
+         "config.output.trajectory_csv only applies to Evolve"),
+        (dict(BASE_VERIFY, output={"csv": "state.csv"}),
+         "config.output.csv only applies to State/Evolve"),
+        (dict(BASE_VERIFY, output={"svg": "plot.svg"}),
+         "config.output.svg only applies to State/Evolve"),
+    ], ids=["verify_experiments", "scan_experiment", "state_trajectory",
+            "verify_csv", "verify_svg"])
+    def test_what_the_command_does_not_read_exits_2(self, tmp_path, capsys,
+                                                    data, message):
+        # each command's sections and outputs come from one table; anything
+        # else is rejected before any computation, never silently ignored
+        code, artifacts = run_config(write_config(tmp_path, data),
+                                     str(tmp_path / "out"))
+        assert (code, artifacts) == (EXIT_CONFIG, [])
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment,message", [
+        ({"name": "eps_to_zero_limit",
+          "parameters": {"eps_seq": [0.5], "xi": 0.0, "t": 1.0}},
+         "need at least two eps values for a trend"),
+        ({"name": "commutator_table",
+          "parameters": {"window": {"kind": "rect", "interior_fraction": 0.5},
+                         "probe": {"x0": 500.0, "p0": 0.0, "sigma": 1.5}}},
+         "no weight inside the window"),
+    ], ids=["one_point_trend", "probe_outside_window"])
+    def test_domain_error_exits_1_with_one_line(self, tmp_path, capsys,
+                                                experiment, message):
+        data = {"command": "Verify",
+                "grid": {"n": 4096, "x_min": -512.0, "x_max": 512.0},
+                "experiment": experiment}
+        code, artifacts = run_config(write_config(tmp_path, data),
+                                     str(tmp_path / "out"))
+        assert (code, artifacts) == (EXIT_TOLERANCE, [])
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_write_failing_partway_exits_3(self, tmp_path, monkeypatch,
                                            capsys):
         real_fdopen = os.fdopen
@@ -303,6 +350,26 @@ class TestCommands:
         assert list(rows[:, 0]) == [0.0, 0.5, 1.0]
         # free fall toward -x at a = -1/eps
         assert rows[2, 1] < rows[0, 1]
+
+    def test_scan_builds_its_state_once(self, tmp_path, monkeypatch):
+        builds = []
+
+        def counted(*args):
+            builds.append(args)
+            return gaussian_packet(*args)
+
+        monkeypatch.setattr(cli, "gaussian_packet", counted)
+        data = {"command": "Scan",
+                "grid": {"n": 1024, "x_min": -32.0, "x_max": 32.0},
+                "state": _GAUSS,
+                "experiments": [
+                    {"name": "boost_covariance_residual",
+                     "parameters": {"v": 0.8, "tau": 0.7}},
+                    {"name": "k_expectation_series",
+                     "parameters": {"taus": [0.0, 0.5]}}]}
+        code, _ = run_config(write_config(tmp_path, data),
+                             str(tmp_path / "out"))
+        assert code == EXIT_OK and len(builds) == 1
 
     def test_seed_recorded(self, tmp_path):
         cfg = write_config(tmp_path, BASE_VERIFY)

@@ -439,6 +439,14 @@ class TestCommutatorTable:
         assert got == ref
         assert len(calls) == 30
 
+    def test_probe_outside_window_is_a_geometry_error(self):
+        # every norm the brackets divide by is 0, which once surfaced as a
+        # bare ZeroDivisionError
+        with pytest.raises(GeometryError, match="no weight inside the window"):
+            commutator_table(make_grid(4096, -512.0, 512.0),
+                             w=Window.rect(0.5),
+                             probe=GaussianParams(500.0, 0.0, 1.5))
+
 
 class TestBerryBalazsTrajectory:
     def test_quarter_coefficient(self, g128):
@@ -479,6 +487,16 @@ class TestLimits:
             eps_to_zero_limit([0.5, 0.1], 0.0, 0.0, g128)
         with pytest.raises(AirylabError, match="strictly increasing"):
             eps_to_infinity_fidelity([10.0, 1.0], 0.5, g128)
+
+    def test_a_trend_needs_two_points(self, g128):
+        with pytest.raises(AirylabError, match="at least two eps values"):
+            eps_to_zero_limit([0.5], 0.0, 1.0, g128)
+        with pytest.raises(AirylabError, match="at least two eps values"):
+            eps_to_infinity_fidelity([1.0], 0.5, g128)
+        probe = gaussian_packet(GaussianParams(0.0, 0.7, 1.5), g128)
+        for taus in ([0.7], []):
+            with pytest.raises(AirylabError, match="at least two sample times"):
+                k_expectation_series(probe, taus)
 
     def test_flat_limit_improves_with_stiffness(self, g128):
         r = eps_to_infinity_fidelity([1.0, 10.0, 100.0], 0.5, g128,

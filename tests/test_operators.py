@@ -12,6 +12,7 @@ from airylab import (
     GeometryError,
     PhysParams,
     Rep,
+    WaveField,
     Window,
     apply_displacement_U,
     apply_generator,
@@ -25,11 +26,13 @@ from airylab import (
     k_expectation_series,
     make_grid,
     perelomov_state,
+    to_rep,
     translate,
     windowed_norm,
     xi_eigenstate_x,
     zassenhaus_rhs,
 )
+from airylab.states import _family_phase
 
 
 def probe(grid, x0=1.0, p0=0.7, sigma=1.5):
@@ -301,3 +304,78 @@ class TestHbarSource:
         # <K(0)> = -m <x> = -2 x0
         assert r.metrics["k_initial"] == pytest.approx(-2.0, rel=1e-14)
         assert r.config["phys"] == {"hbar": 0.5, "m": 2.0}
+
+
+# The diagonal operators as they were before they shared one diagonal
+# path, each spelled out: kept as the bitwise oracle.
+
+def _reference_generator(tag, field):
+    m = field.grid.phys.m
+    if tag == "x":
+        pos = to_rep(field, Rep.POSITION)
+        out = pos.with_amplitudes(field.grid.x * pos.amplitudes)
+        return to_rep(out, field.rep)
+    mom = to_rep(field, Rep.MOMENTUM)
+    if tag == "p":
+        out = mom.with_amplitudes(field.grid.p * mom.amplitudes)
+    else:
+        out = mom.with_amplitudes(
+            field.grid.p ** 2 / (2.0 * m) * mom.amplitudes)
+    return to_rep(out, field.rep)
+
+
+def _reference_translate(field, a):
+    mom = to_rep(field, Rep.MOMENTUM)
+    out = mom.with_amplitudes(
+        np.exp(-1j * field.grid.p * a / field.grid.hbar) * mom.amplitudes)
+    return to_rep(out, field.rep)
+
+
+def _reference_boost(field, b):
+    hbar, m = field.grid.phys.hbar, field.grid.phys.m
+    shifted = to_rep(_reference_translate(field, -b.v * b.t), Rep.POSITION)
+    amps = (np.exp(-1j * m * b.v ** 2 * b.t / (2.0 * hbar))
+            * np.exp(-1j * b.v * m * field.grid.x / hbar)
+            * shifted.amplitudes)
+    return to_rep(shifted.with_amplitudes(amps), field.rep)
+
+
+def _reference_free_evolve(field, tau):
+    hbar, m = field.grid.phys.hbar, field.grid.phys.m
+    mom = to_rep(field, Rep.MOMENTUM)
+    amps = np.exp(-1j * field.grid.p ** 2 * tau / (2.0 * m * hbar)) * mom.amplitudes
+    out = WaveField(grid=mom.grid, rep=Rep.MOMENTUM, amplitudes=amps,
+                    time=field.time + tau)
+    return to_rep(out, field.rep)
+
+
+def _reference_displacement(field, c):
+    mom = to_rep(field, Rep.MOMENTUM)
+    phase = _family_phase(c, field.grid)
+    return to_rep(mom.with_amplitudes(phase * mom.amplitudes), field.rep)
+
+
+class TestOneDiagonalPath:
+    """Every diagonal operator returns the bits of its former body."""
+
+    @pytest.mark.parametrize("rep", [Rep.POSITION, Rep.MOMENTUM])
+    def test_bitwise_equal_to_reference(self, rep):
+        grid = make_grid(2048, -64.0, 64.0, PhysParams(hbar=0.7, m=2.5))
+        field = to_rep(probe(grid), rep)
+        field = field.with_amplitudes(field.amplitudes, time=0.3)
+        c = CoherentParams(1.3, 0.4, 0.2)
+        pairs = [(apply_generator(GeneratorKind(tag), field),
+                  _reference_generator(tag, field)) for tag in "xph"]
+        pairs += [
+            (translate(field, 0.37), _reference_translate(field, 0.37)),
+            (boost(field, BoostParams(0.8, 0.3)),
+             _reference_boost(field, BoostParams(0.8, 0.3))),
+            (free_evolve(field, 0.45), _reference_free_evolve(field, 0.45)),
+            (apply_displacement_U(field, c),
+             _reference_displacement(field, c)),
+        ]
+        for got, expected in pairs:
+            assert got.rep is expected.rep is rep
+            assert got.time == expected.time
+            assert np.array_equal(got.amplitudes, expected.amplitudes)
+        assert pairs[5][0].time == 0.75 and pairs[0][0].time == 0.3
