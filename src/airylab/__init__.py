@@ -66,7 +66,6 @@ from .states import (
     fit_band,
     gaussian_packet,
     perelomov_state,
-    xi_eigenstate_x,
 )
 
 __version__ = "0.1.0"
@@ -89,6 +88,6 @@ __all__ = [
     "cubic_phase_integral",
     "BandTaper", "CoherentParams", "GaussianParams",
     "berry_balazs_initial", "content_map", "fit_band", "gaussian_packet",
-    "perelomov_state", "xi_eigenstate_x",
+    "perelomov_state",
     "__version__",
 ]

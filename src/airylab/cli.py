@@ -7,11 +7,14 @@ tolerance overrides.  The grid is built with the constants and carries
 them into every computation.  Everything is validated before any
 computation; unknown keys are rejected at every level, and so is a
 section or output that the command does not read (`_COMMANDS`).  What an
-experiment accepts is its signature, as `experiments.EXPERIMENTS`
-derives it: each parameter the config may give, with its validator and
-required when it has no default, and each tolerance keyword; `c` or
-`field` in the signature means the config needs a state.  A value the
-config leaves out keeps the default of its function or dataclass.
+experiment accepts is read from `experiments.EXPERIMENTS` alone, which
+derives it once from the signature: each config key with its validator,
+the keyword it is passed as and whether it is required, each tolerance
+keyword, and which of `c`, `field`, `grid` and `phys` the run supplies;
+`c` or `field` means the config needs a state.  Each state kind is one
+entry of `_STATES`: its keys, the dataclass that checks its labels, and
+its builder.  A value the config leaves out keeps the default of its
+function or dataclass.
 
 Exit codes are a stable contract:
     0  run completed and every declared tolerance passed
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import os
 import sys
@@ -58,7 +60,6 @@ from .states import (
     berry_balazs_initial,
     gaussian_packet,
     perelomov_state,
-    xi_eigenstate_x,
 )
 
 __all__ = ["RunConfig", "run_config", "emit_csv", "emit_svg_plot", "main",
@@ -333,14 +334,24 @@ _VALIDATORS = {
     "probe": _parse_probe,
 }
 
-_STATE_KINDS = {
-    "perelomov": (("eps",), ("xi", "t", "band")),
-    "gaussian": ((), ("x0", "p0", "sigma")),
-    "berry_balazs": (("B",), ()),
-    "xi_eigenstate": (("xi", "t"), ()),
+# state kind -> (required keys, optional keys, the dataclass that checks
+# its labels or None, its builder from (spec, labels, grid) to a position
+# field).  `xi_eigenstate` is the family's eps = 0 member.  A builder
+# looks its functions up on this module when it runs, so a name rebound
+# here (by a test or a tracer) is the one called.
+_STATES = {
+    "perelomov": (("eps",), ("xi", "t", "band"), CoherentParams,
+                  lambda spec, c, grid: to_rep(perelomov_state(
+                      c, Rep.MOMENTUM, grid, band=spec.get("band", "auto")),
+                      Rep.POSITION)),
+    "gaussian": ((), ("x0", "p0", "sigma"), GaussianParams,
+                 lambda spec, g, grid: gaussian_packet(g, grid)),
+    "berry_balazs": (("B",), (), None,
+                     lambda spec, _, grid: berry_balazs_initial(spec["B"], grid)),
+    "xi_eigenstate": (("xi", "t"), (), None,
+                      lambda spec, _, grid: perelomov_state(CoherentParams(
+                          0.0, spec["xi"], spec["t"]), Rep.POSITION, grid)),
 }
-# the dataclass that checks a state kind's labels
-_STATE_PARAMS = {"perelomov": CoherentParams, "gaussian": GaussianParams}
 
 
 def _validate_state_spec(spec, where: str) -> tuple[dict, object]:
@@ -348,36 +359,22 @@ def _validate_state_spec(spec, where: str) -> tuple[dict, object]:
         raise ConfigError(f"{where} must be an object")
     kind = _strval(spec.get("kind", ""), f"{where}.kind") \
         if "kind" in spec else None
-    if kind not in _STATE_KINDS:
+    if kind not in _STATES:
         raise ConfigError(
-            f"{where}.kind must be one of {sorted(_STATE_KINDS)}, got {kind!r}")
-    required, optional = _STATE_KINDS[kind]
+            f"{where}.kind must be one of {sorted(_STATES)}, got {kind!r}")
+    required, optional, labels, _ = _STATES[kind]
     _check_keys(spec, where, ("kind",) + required, optional)
     out = {"kind": kind}
     for key in required + optional:
         if key in spec:
             out[key] = _parse_band(spec[key], f"{where}.{key}") \
                 if key == "band" else _num(spec[key], f"{where}.{key}")
-    return out, (_given(_STATE_PARAMS[kind], out, where)
-                 if kind in _STATE_PARAMS else None)
+    return out, None if labels is None else _given(labels, out, where)
 
 
 def _build_state(cfg: RunConfig) -> WaveField:
-    spec, labels, grid = cfg.state_spec, cfg.state_labels, cfg.grid
-    kind = spec["kind"]
-    if kind == "perelomov":
-        mom = perelomov_state(labels, Rep.MOMENTUM, grid,
-                              band=spec.get("band", "auto"))
-        return to_rep(mom, Rep.POSITION)
-    if kind == "gaussian":
-        return gaussian_packet(labels, grid)
-    if kind == "berry_balazs":
-        return berry_balazs_initial(spec["B"], grid)
-    return xi_eigenstate_x(spec["xi"], spec["t"], grid)
-
-
-# the keyword each config parameter is passed as, where it is not its key
-_KEYWORDS = {key: name for name, key in experiments._CONFIG_KEYS.items()}
+    *_, build = _STATES[cfg.state_spec["kind"]]
+    return build(cfg.state_spec, cfg.state_labels, cfg.grid)
 
 
 def _validate_experiment_spec(spec, where: str, state_spec) -> dict:
@@ -387,21 +384,19 @@ def _validate_experiment_spec(spec, where: str, state_spec) -> dict:
         raise ConfigError(
             f"{where}.name: unknown experiment {name!r}; "
             f"known: {sorted(experiments.EXPERIMENTS)}")
-    tags, tol_map = experiments.EXPERIMENTS[name]
-    signature = inspect.signature(getattr(experiments, name)).parameters
-    if "c" in signature and (state_spec is None
-                             or state_spec["kind"] != "perelomov"):
+    keys, tol_map, supplied = experiments.EXPERIMENTS[name]
+    if "c" in supplied and (state_spec is None
+                            or state_spec["kind"] != "perelomov"):
         raise ConfigError(
             f"experiment {name!r} requires a state of kind 'perelomov'")
-    if "field" in signature and state_spec is None:
+    if "field" in supplied and state_spec is None:
         raise ConfigError(f"experiment {name!r} requires a state")
-    required = tuple(k for k in tags if signature[_KEYWORDS.get(k, k)].default
-                     is inspect.Parameter.empty)
+    required = tuple(k for k, (_, _, needed) in keys.items() if needed)
     raw_params = spec.get("parameters", {})
     _check_keys(raw_params, f"{where}.parameters", required,
-                tuple(k for k in tags if k not in required))
-    params = {key: _VALIDATORS[tags[key]](value, f"{where}.parameters.{key}")
-              for key, value in raw_params.items()}
+                tuple(k for k in keys if k not in required))
+    params = {keys[k][1]: _VALIDATORS[keys[k][0]](v, f"{where}.parameters.{k}")
+              for k, v in raw_params.items()}
     raw_tols = spec.get("tolerances", {})
     _check_keys(raw_tols, f"{where}.tolerances", (), tuple(tol_map))
     tols = {tol_map[k]: _num(v, f"{where}.tolerances.{k}")
@@ -511,16 +506,14 @@ class RunConfig:
 
 def _run_experiment(cfg: RunConfig, spec: dict, state):
     """Call the named experiment, looked up on its module at call time,
-    with the validated parameters and tolerances as keywords; anything
-    not given keeps the function's own default; `state()` is the built state."""
-    run = getattr(experiments, spec["name"])
-    signature = inspect.signature(run).parameters
-    kwargs = {_KEYWORDS.get(k, k): v for k, v in spec["params"].items()}
-    supplied = {"grid": cfg.grid, "phys": cfg.grid.phys, "c": cfg.state_labels}
-    kwargs.update((k, v) for k, v in supplied.items() if k in signature)
-    if "field" in signature:
-        kwargs["field"] = state()
-    return run(**kwargs, **spec["tols"])
+    with the validated parameters and tolerances as keywords and the
+    arguments the config supplies; anything not given keeps the
+    function's own default; `state()` is the built state."""
+    _, _, supplied = experiments.EXPERIMENTS[spec["name"]]
+    given = {"c": cfg.state_labels, "grid": cfg.grid, "phys": cfg.grid.phys}
+    kwargs = {k: state() if k == "field" else given[k] for k in supplied}
+    return getattr(experiments, spec["name"])(**kwargs, **spec["params"],
+                                              **spec["tols"])
 
 
 def _execute(cfg: RunConfig, out_dir: str, echo, seed) -> tuple[bool, list]:

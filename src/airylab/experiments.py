@@ -91,20 +91,21 @@ _AIRY_AI_ZERO = 0.3550280538878172
 # the window of every experiment that is not given one
 _WINDOW = Window.rect(0.5)
 
-# The experiments a config can name: name -> (config parameter ->
-# validator tag, tolerance key -> keyword), derived from the signature
-# once, at registration.  The config parameters are all parameters but
-# the bound keywords and the four the config runner supplies: `c` takes
-# the config's perelomov state, `field` its built state, `grid` and
-# `phys` its grid.  A parameter without a default is required.  A bound
-# fixed in the declaration (the limits' monotone flags) has no keyword,
-# so a config cannot override it.
-EXPERIMENTS: dict[str, tuple[dict, dict]] = {}
+# The experiments a config can name: name -> (config key -> (validator
+# tag, keyword, required), tolerance key -> keyword, supplied), derived
+# from the signature once, at registration.  The config parameters are
+# all parameters but the bound keywords and the four the config runner
+# supplies: `c` takes the config's perelomov state, `field` its built
+# state, `grid` and `phys` its grid; `supplied` names those the function
+# takes.  A parameter without a default is required.  A bound fixed in
+# the declaration (the limits' monotone flags) has no keyword, so a
+# config cannot override it.
+EXPERIMENTS: dict[str, tuple[dict, dict, tuple]] = {}
 _SUPPLIED = ("c", "field", "grid", "phys")
 # a parameter's config key where it differs from the parameter's name
 _CONFIG_KEYS = {"w": "window"}
 # the validator tag of each config parameter that is not a plain number
-_TAGS = {"window": "window", "band": "band", "probe": "probe",
+_TAGS = {"w": "window", "band": "band", "probe": "probe",
          "n_states": "count", "drop_cubic_phase": "bool",
          "taus": "numlist", "t_list": "numlist", "eps_list": "numlist",
          "eps_seq": "numlist"}
@@ -140,10 +141,13 @@ def _experiment(bounds: dict):
             return ExperimentReport(
                 fn.__name__, metrics, config, tolerances,
                 all(_meets(metrics, k, b) for k, b in tolerances.items()))
-        params = [_CONFIG_KEYS.get(p, p) for p in inspect.signature(fn).parameters
-                  if p not in _SUPPLIED and p not in keywords.values()]
-        EXPERIMENTS[fn.__name__] = ({p: _TAGS.get(p, "num") for p in params},
-                                    keywords)
+        signature = inspect.signature(fn).parameters
+        EXPERIMENTS[fn.__name__] = (
+            {_CONFIG_KEYS.get(p, p): (_TAGS.get(p, "num"), p,
+                                      v.default is v.empty)
+             for p, v in signature.items()
+             if p not in _SUPPLIED and p not in keywords.values()},
+            keywords, tuple(p for p in _SUPPLIED if p in signature))
         return run
     return register
 
@@ -749,7 +753,8 @@ def eps_to_zero_limit(
 
     Measures the windowed relative L2 error of banded builds against the
     eps = 0 closed form (chirp times Fresnel constant) for a decreasing
-    eps sequence; the trend, not a rate, is the assertion.
+    eps sequence; the trend, not a rate, is the assertion.  The config
+    echoes each member's band, in eps_seq order.
     """
     if t == 0.0:
         raise GeometryError("the eps -> 0 closed form needs t != 0")
@@ -760,16 +765,17 @@ def eps_to_zero_limit(
         raise AirylabError("eps_seq must be positive and strictly decreasing")
     ref = perelomov_state(CoherentParams(0.0, xi, t), Rep.POSITION, grid)
     ref_norm = _weight(ref, w)
-    errors = []
+    errors, bands = [], []
     for e in eps_seq:
-        psi = to_rep(perelomov_state(CoherentParams(e, xi, t), Rep.MOMENTUM,
-                                     grid, band=band), Rep.POSITION)
+        mom, band_echo = _member(CoherentParams(e, xi, t), [t], grid, band)
+        psi = to_rep(mom, Rep.POSITION)
         diff = psi.with_amplitudes(psi.amplitudes - ref.amplitudes)
         errors.append(windowed_norm(diff, w) / ref_norm)
+        bands.append(band_echo)
     monotone = all(a > b for a, b in zip(errors, errors[1:]))
     return ({"errors": _floats(errors), "eps_seq": _floats(eps_seq),
              "monotone_decreasing": bool(monotone)},
-            {"xi": xi, "t": t, **_geometry(grid, w)})
+            {"xi": xi, "t": t, **_geometry(grid, w), "band": bands})
 
 
 @_experiment({"monotone_increasing": True})
@@ -785,6 +791,7 @@ def eps_to_infinity_fidelity(
     Windowed fidelity between a member at t = 0 and its tau-evolved self
     for an increasing eps sequence; the decoherence phase shrinks as
     m tau/eps, so the fidelity must increase monotonically toward 1.
+    The config echoes each member's band, in eps_seq order.
     """
     tau = float(tau)
     eps_seq = [float(e) for e in eps_seq]
@@ -792,17 +799,19 @@ def eps_to_infinity_fidelity(
         raise AirylabError("need at least two eps values for a trend")
     if not all(0.0 < a < b for a, b in zip(eps_seq, eps_seq[1:])):
         raise AirylabError("eps_seq must be positive and strictly increasing")
-    fidelities = []
+    fidelities, bands = [], []
     for e in eps_seq:
-        mom0, _ = _member(CoherentParams(e, 0.0, 0.0), [0.0, tau], grid, band)
+        mom0, band_echo = _member(CoherentParams(e, 0.0, 0.0), [0.0, tau],
+                                  grid, band)
         psi0 = to_rep(mom0, Rep.POSITION)
         psi_tau = to_rep(free_evolve(mom0, tau), Rep.POSITION)
         ip = inner_product(psi0, psi_tau, w)
         fidelities.append(abs(ip) / (_weight(psi0, w) * _weight(psi_tau, w)))
+        bands.append(band_echo)
     monotone = all(a < b for a, b in zip(fidelities, fidelities[1:]))
     return ({"fidelities": _floats(fidelities), "eps_seq": _floats(eps_seq),
              "monotone_increasing": bool(monotone)},
-            {"tau": tau, **_geometry(grid, w)})
+            {"tau": tau, **_geometry(grid, w), "band": bands})
 
 
 @_experiment({"max_rel_err": "tol"})

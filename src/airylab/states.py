@@ -1,9 +1,10 @@
 """Closed-form wavefunction constructors on uniform grids.
 
 Builds every state used by the experiments directly from its analytic
-form: Gaussian probes, the boost-eigenstate chirp, the Perelomov
-coherent-state family in both representations, and the accelerating
-Airy profile of Berry & Balazs (1979).
+form: Gaussian probes, the Perelomov coherent-state family in both
+representations, and the accelerating Airy profile of Berry & Balazs
+(1979).  The boost eigenstate is the family's eps = 0 member, in the
+family's phase convention.
 
 Momentum-side family builds can carry a smooth band taper so that
 spectrally applied operators stay free of Nyquist-seam artifacts.  The
@@ -248,32 +249,6 @@ def gaussian_packet(g: GaussianParams, grid: Grid) -> WaveField:
     return WaveField(grid=grid, rep=Rep.POSITION, amplitudes=amps, time=0.0)
 
 
-def xi_eigenstate_x(xi: float, t: float, grid: Grid) -> WaveField:
-    """Boost eigenstate in position form, delta-normalized in xi.
-
-    psi(x) = (2 pi hbar |t|)^(-1/2) e^((i/hbar)(m x^2 / 2t + xi x / t)),
-    the eigenfunction of K(t) = t p - m x with eigenvalue xi.
-    """
-    t = float(t)
-    xi = float(xi)
-    if not (np.isfinite(t) and np.isfinite(xi)):
-        raise AirylabError("xi and t must be finite")
-    if t == 0.0:
-        raise AirylabError(
-            "t = 0 makes the chirp prefactor singular; build "
-            "perelomov_state with eps = 0 in the momentum representation instead")
-    hbar, m = grid.phys.hbar, grid.phys.m
-    x_far = max(abs(grid.x_min), abs(grid.x_max))
-    if not np.isfinite((m * x_far * x_far / 2.0 + abs(xi) * x_far)
-                       / abs(t) / hbar):
-        raise GeometryError(f"the chirp phase overflows on this box at t = {t:g}")
-    x = grid.x
-    amps = np.exp(1j * (m * x * x / (2.0 * t) + xi * x / t) / hbar) / np.sqrt(
-        TWO_PI * hbar * abs(t))
-    return WaveField(grid=grid, rep=Rep.POSITION, amplitudes=amps.astype(complex),
-                     time=t)
-
-
 def perelomov_state(
     c: CoherentParams,
     rep: Rep,
@@ -293,8 +268,10 @@ def perelomov_state(
             * Ai(-(C/hbar)(x + xi/m + t^2/2 eps)),
     with C = sign(eps) (2 hbar m^2/|eps|)^(1/3); the real signed cube
     root also covers eps < 0.  For eps = 0 and t != 0 the family
-    degenerates to the boost eigenstate times the Fresnel constant
-    e^(-i sign(t) pi/4) e^(i xi^2 / 2 m t hbar).
+    degenerates to the boost eigenstate
+        (2 pi hbar |t|)^(-1/2) e^((i/hbar)(m x^2/2t + xi x/t)),
+    the eigenfunction of K(t) = t p - m x with eigenvalue xi, times the
+    Fresnel constant e^(-i sign(t) pi/4) e^(i xi^2 / 2 m t hbar).
     """
     hbar, m = grid.phys.hbar, grid.phys.m
 

@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import inspect
 import json
 import os
 import re
@@ -16,6 +17,7 @@ from airylab import (
     BandTaper,
     CoherentParams,
     GaussianParams,
+    PhysParams,
     Rep,
     WaveField,
     Window,
@@ -371,6 +373,29 @@ class TestCommands:
                              str(tmp_path / "out"))
         assert code == EXIT_OK and len(builds) == 1
 
+    def test_xi_eigenstate_is_the_eps_zero_member(self, tmp_path):
+        hbar, m, xi, t = 0.7, 2.5, 1.3, -0.7
+        data = {"command": "State",
+                "grid": {"n": 512, "x_min": -8.0, "x_max": 8.0},
+                "phys": {"hbar": hbar, "m": m},
+                "state": {"kind": "xi_eigenstate", "xi": xi, "t": t}}
+        out = tmp_path / "out"
+        code, _ = run_config(write_config(tmp_path, data), str(out))
+        assert code == EXIT_OK
+        grid = make_grid(512, -8.0, 8.0, PhysParams(hbar, m))
+        member = perelomov_state(CoherentParams(0.0, xi, t), Rep.POSITION, grid)
+        emit_csv(member, str(tmp_path / "member.csv"))
+        assert (out / "state.csv").read_bytes() == \
+            (tmp_path / "member.csv").read_bytes()
+        # the boost eigenstate's own closed form times the Fresnel constant
+        x = grid.x
+        chirp = np.exp(1j * (m * x * x / (2.0 * t) + xi * x / t) / hbar) \
+            / np.sqrt(2.0 * np.pi * hbar * abs(t))
+        expected = chirp * np.exp(-1j * np.sign(t) * np.pi / 4.0) \
+            * np.exp(1j * xi * xi / (2.0 * m * t * hbar))
+        rows = np.loadtxt(out / "state.csv", delimiter=",", skiprows=1)
+        assert np.max(np.abs(rows[:, 1] + 1j * rows[:, 2] - expected)) < 1e-11
+
     def test_seed_recorded(self, tmp_path):
         cfg = write_config(tmp_path, BASE_VERIFY)
         out = tmp_path / "out"
@@ -697,8 +722,8 @@ REPORT_CONFIG = {
     "boost_covariance_residual": {"v", "tau", "field_time"} | _GEOM,
     "berry_balazs_trajectory": {"B", "t_list", "band", "family_eps"} | _GEOM,
     "representation_crosscheck": {"params", "band"} | _GEOM,
-    "eps_to_zero_limit": {"xi", "t"} | _GEOM,
-    "eps_to_infinity_fidelity": {"tau"} | _GEOM,
+    "eps_to_zero_limit": {"xi", "t", "band"} | _GEOM,
+    "eps_to_infinity_fidelity": {"tau", "band"} | _GEOM,
     "commutator_table": {"probe"} | _GEOM,
 }
 ECHOED = {
@@ -735,6 +760,38 @@ class TestRegistry:
         assert sorted(names) == sorted(experiments.EXPERIMENTS)
         assert sorted(PARITY) == sorted(experiments.EXPERIMENTS)
 
+    def test_state_kinds_match_readme(self):
+        with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "README.md"), encoding="utf-8") as fh:
+            readme = fh.read()
+        listed = readme.split("State kinds:")[1].split(".  ")[0]
+        kinds = {kind: set(re.findall(r"`(\w+)`", keys)) for kind, keys
+                 in re.findall(r"`(\w+)` \(([^)]*)\)", listed)}
+        assert kinds == {kind: set(entry[0] + entry[1])
+                         for kind, entry in cli._STATES.items()}
+
+    def test_registry_matches_signature(self):
+        # derived again from each signature: every parameter but the
+        # tolerance keywords and the four the run supplies is a config
+        # key (the window `w` as `window`), required when it has no default
+        runner = ("c", "field", "grid", "phys")
+        for name, (keys, tol_map, supplied) in experiments.EXPERIMENTS.items():
+            params = inspect.signature(getattr(experiments, name)).parameters
+            assert supplied == tuple(p for p in runner if p in params), name
+            given = [p for p in params
+                     if p not in runner and p not in tol_map.values()]
+            assert {k: kw for k, (_, kw, _) in keys.items()} == {
+                "window" if p == "w" else p: p for p in given}, name
+            assert {k for k, (_, _, needed) in keys.items() if needed} == {
+                "window" if p == "w" else p for p in given
+                if params[p].default is inspect.Parameter.empty}, name
+            for kw in tol_map.values():
+                assert params[kw].kind is inspect.Parameter.KEYWORD_ONLY
+        assert experiments.EXPERIMENTS["overlap_scan"][0]["eps_list"] == (
+            "numlist", "eps_list", True)
+        assert experiments.EXPERIMENTS["shape_distortion"][0]["window"] == (
+            "window", "w", False)
+
     @pytest.mark.parametrize("name", sorted(PARITY))
     def test_cli_report_equals_direct_call(self, tmp_path, name):
         grid, state, params, tols, direct = PARITY[name]
@@ -753,7 +810,11 @@ class TestRegistry:
         config = entry["config"]
         assert set(config) == REPORT_CONFIG[name]
         for key in set(config) & set(ECHOED):
-            assert set(config[key]) == ECHOED[key], key
+            # the two limits echo one band per member
+            echoes = config[key] if isinstance(config[key], list) \
+                else [config[key]]
+            for echo in echoes:
+                assert set(echo) == ECHOED[key], key
         # every declared bound judges a metric the experiment returns
         assert set(experiments.EXPERIMENTS[name][1]) <= set(entry["tolerances"])
         for key in entry["tolerances"]:

@@ -8,7 +8,6 @@ path that cannot be written must exit 3.
 
 import contextlib
 import copy
-import inspect
 import io
 import json
 import math
@@ -54,23 +53,21 @@ STATES = st.one_of(
                            "t": nums}))
 
 
-def _signature(name):
-    return inspect.signature(getattr(experiments, name)).parameters
+def _supplied(name):
+    """Which of c, field, grid and phys the run supplies to `name`."""
+    return experiments.EXPERIMENTS[name][2]
 
 
 def _required(name):
-    tags, _ = experiments.EXPERIMENTS[name]
-    signature = _signature(name)
-    return [k for k in tags
-            if signature["w" if k == "window" else k].default
-            is inspect.Parameter.empty]
+    keys, _, _ = experiments.EXPERIMENTS[name]
+    return [k for k, (_, _, needed) in keys.items() if needed]
 
 
 def _spec(draw, name):
     """A registry-drawn experiment spec with random tolerance overrides."""
-    tags, tol_map = experiments.EXPERIMENTS[name]
+    keys, tol_map, _ = experiments.EXPERIMENTS[name]
     required = _required(name)
-    params = {k: draw(VALUES[tag]) for k, tag in tags.items()
+    params = {k: draw(VALUES[tag]) for k, (tag, _, _) in keys.items()
               if k in required or draw(st.booleans())}
     tols = {k: draw(st.floats(1e-12, 1.0)) for k in tol_map
             if draw(st.booleans())}
@@ -95,10 +92,10 @@ def valid_configs(draw):
     name = draw(st.sampled_from(NAMES))
     spec = _spec(draw, name)
     cfg = {"command": "Verify", "grid": _grid(draw), "experiment": spec}
-    signature = _signature(name)
-    if "c" in signature:
+    supplied = _supplied(name)
+    if "c" in supplied:
         cfg["state"] = draw(PERELOMOV)
-    elif "field" in signature or draw(st.booleans()):
+    elif "field" in supplied or draw(st.booleans()):
         cfg["state"] = draw(STATES)
     return _phys(draw, cfg)
 
@@ -156,7 +153,7 @@ WRITES = {"Verify": ("report",), "Scan": ("report",),
 def _mutations(cfg):
     """Each returns a copy of cfg with exactly one schema violation."""
     name = cfg["experiment"]["name"]
-    signature = _signature(name)
+    supplied = _supplied(name)
     out = []
     for where in ("", "grid", "experiment", "experiment.parameters",
                   "experiment.tolerances", "state", "phys"):
@@ -179,11 +176,11 @@ def _mutations(cfg):
         def missing(d, key=key):
             del d["experiment"]["parameters"][key]
         out.append(missing)
-    if "c" in signature:
+    if "c" in supplied:
         def wrong_kind(d):
             d["state"] = {"kind": "gaussian"}
         out.append(wrong_kind)
-    if "c" in signature or "field" in signature:
+    if "c" in supplied or "field" in supplied:
         def no_state(d):
             del d["state"]
         out.append(no_state)

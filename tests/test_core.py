@@ -1,6 +1,7 @@
 """Grid construction, the unitary transform pair, and windowed metrics."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -240,3 +241,14 @@ class TestInnerProduct:
     def test_window_kind_enum_values(self):
         assert WindowKind.RECT.value == "rect"
         assert WindowKind.TUKEY.value == "tukey"
+
+
+@pytest.mark.parametrize("module", ["airylab", "airylab.cli",
+                                    "airylab.experiments"])
+def test_public_names_resolve(module):
+    # a name left in __all__ after its definition is gone fails here,
+    # where `from airylab import *` would fail for a user
+    mod = importlib.import_module(module)
+    assert len(set(mod.__all__)) == len(mod.__all__)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []

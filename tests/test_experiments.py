@@ -53,7 +53,7 @@ from airylab.experiments import (
     shape_distortion,
 )
 from airylab.operators import GeneratorKind, apply_generator
-from airylab.states import _family_phase, _smoothstep
+from airylab.states import _family_phase, _plan_band, _smoothstep
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +72,8 @@ class TestReportShape:
         assert d["tolerances"]["residual"] == 1e-6
 
     def test_wrapper_keeps_name_and_signature(self):
-        # the CLI and the config fuzz read each experiment's parameters
-        # from inspect.signature, through the verdict wrapper
+        # inspect.signature sees each experiment's own parameters through
+        # the verdict wrapper
         for name in experiments.EXPERIMENTS:
             fn = getattr(experiments, name)
             assert fn.__name__ == name
@@ -504,6 +504,28 @@ class TestLimits:
         assert r.passed
         fids = r.metrics["fidelities"]
         assert fids[-1] > 0.99
+
+
+    @pytest.mark.parametrize("run,members", [
+        (lambda g, band: eps_to_zero_limit([0.5, 0.2], 0.0, 1.0, g, band=band),
+         lambda: [CoherentParams(0.5, 0.0, 1.0), CoherentParams(0.2, 0.0, 1.0)]),
+        (lambda g, band: eps_to_infinity_fidelity([1.0, 10.0], 0.5, g,
+                                                  band=band),
+         lambda: [CoherentParams(1.0), CoherentParams(10.0)]),
+    ])
+    def test_config_tells_the_band_policies_apart(self, grid64, run, members):
+        # "auto" and None give different metrics, so the config echoes
+        # each member's band: the fitted taper, or None for the bare phase
+        auto, bare = run(grid64, "auto"), run(grid64, None)
+        assert auto.metrics != bare.metrics
+        assert bare.config["band"] == [None, None]
+        times = [1.0] if auto.name == "eps_to_zero_limit" else [0.0, 0.5]
+        assert auto.config["band"] == [
+            asdict(_plan_band(c, times, grid64, "auto"))
+            for c in members()]
+        assert auto.config != bare.config
+        fixed = run(grid64, BandTaper(2.0, 3.0))
+        assert fixed.config["band"] == [asdict(BandTaper(2.0, 3.0))] * 2
 
 
 class TestReportIsPlain:

@@ -29,7 +29,6 @@ from airylab import (
     to_rep,
     translate,
     windowed_norm,
-    xi_eigenstate_x,
     zassenhaus_rhs,
 )
 from airylab.states import _family_phase
@@ -275,7 +274,11 @@ class TestHbarSource:
         gauss = gaussian_packet(GaussianParams(1.0, 0.4, 2.0), grid)
         builds = {
             "gaussian": gauss,
-            "xi_eigenstate": xi_eigenstate_x(0.3, 0.7, grid),
+            # the eps = 0 member: the boost eigenstate (frozen below in its
+            # own convention) times the Fresnel constant
+            # e^(-i sign(t) pi/4) e^(i xi^2/2 m t hbar)
+            "xi_eigenstate": perelomov_state(CoherentParams(0.0, 0.3, 0.7),
+                                             Rep.POSITION, grid),
             "momentum": perelomov_state(CoherentParams(1.0, 0.3, 0.2),
                                         Rep.MOMENTUM, grid),
             "position": perelomov_state(CoherentParams(4.0, 0.3, 0.2),
@@ -296,6 +299,10 @@ class TestHbarSource:
             "evolved": [0.09474238056998055 - 0.2769754351466376j,
                         0.3258947825605202 + 0.3049430994270558j],
         }
+        frozen["xi_eigenstate"] = [
+            v * np.exp(-1j * np.pi / 4.0)
+            * np.exp(1j * 0.3 * 0.3 / (2.0 * 2.0 * 0.7 * 0.5))
+            for v in frozen["xi_eigenstate"]]
         for name, field in builds.items():
             at = [5, 60] if name == "momentum" else [1000, 1040]
             np.testing.assert_allclose(field.amplitudes[at], frozen[name],

@@ -27,7 +27,6 @@ from airylab import (
     perelomov_state,
     to_rep,
     windowed_norm,
-    xi_eigenstate_x,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -102,14 +101,17 @@ class TestPerelomovDegenerate:
     def test_eps_zero_matches_boost_eigenstate(self, grid64, t):
         xi = 1.3
         fam = perelomov_state(CoherentParams(0.0, xi, t), Rep.POSITION, grid64)
-        eig = xi_eigenstate_x(xi, t, grid64)
-        ratio = fam.amplitudes / eig.amplitudes
+        # the eigenfunction of K(t) = t p - m x with eigenvalue xi (hbar = m = 1)
+        x = grid64.x
+        eig = np.exp(1j * (x * x / (2.0 * t) + xi * x / t)) / np.sqrt(
+            TWO_PI * abs(t))
+        ratio = fam.amplitudes / eig
         expected = np.exp(-1j * np.sign(t) * np.pi / 4.0) * np.exp(
             1j * xi * xi / (2.0 * t))
         assert np.max(np.abs(ratio - expected)) < 1e-12
 
     def test_eps_zero_t_zero_position_rejected(self, grid64):
-        with pytest.raises(AirylabError, match="delta"):
+        with pytest.raises(AirylabError, match="eps = 0, t = 0 .* delta"):
             perelomov_state(CoherentParams(0.0, 0.0, 0.0), Rep.POSITION, grid64)
 
     def test_eps_zero_t_zero_momentum_is_plane_phase(self, grid64):
@@ -122,16 +124,21 @@ class TestPerelomovDegenerate:
         assert peak == pytest.approx(-xi, abs=grid64.dx / 2)
 
     def test_xi_eigenstate_rejects_t_zero(self, grid64):
-        with pytest.raises(AirylabError, match="eps = 0"):
-            xi_eigenstate_x(0.0, 0.0, grid64)
+        # the CLI's xi_eigenstate is the eps = 0 member; at t = 0 it is a
+        # delta in position whatever xi is
+        with pytest.raises(AirylabError, match="eps = 0, t = 0 .* delta"):
+            perelomov_state(CoherentParams(0.0, 1.3, 0.0), Rep.POSITION, grid64)
 
     def test_xi_eigenstate_phase_overflow_is_a_geometry_error(self):
-        # m x^2/2t overflows before any element is formed; found by the
-        # config fuzz as a numpy overflow warning
+        # m (x + xi/m)^2/2t overflows before any element of the eps = 0
+        # member is formed; found by the config fuzz as a numpy overflow
+        # warning
         grid = make_grid(8, -3.0, 1.0)
         with pytest.raises(GeometryError, match="overflows"):
-            xi_eigenstate_x(-2.0, 5.186069348858173e-308, grid)
-        assert np.all(np.isfinite(xi_eigenstate_x(-2.0, 1e-300, grid).amplitudes))
+            perelomov_state(CoherentParams(0.0, -2.0, 5.186069348858173e-308),
+                            Rep.POSITION, grid)
+        assert np.all(np.isfinite(perelomov_state(
+            CoherentParams(0.0, -2.0, 1e-300), Rep.POSITION, grid).amplitudes))
 
     def test_subnormal_eps_argument_overflow_is_a_geometry_error(self, grid64):
         # (C/hbar) t^2/2 eps overflows at eps = 1e-240: a typed error, not a
